@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition torture-sched sched fuzz bench-json bench-smoke bench-micro bench-diff ci clean
+.PHONY: build vet fmt-check test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz perfbench bench-json bench-smoke bench-micro bench-diff ci clean
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing the files gofmt would rewrite, perfbench/ included.
+fmt-check:
+	@files="$$(gofmt -l .)"; test -z "$$files" || { echo "gofmt needed:"; echo "$$files"; exit 1; }
 
 # Full test suite, including the chaos tests (fault injection + recovery).
 test:
@@ -93,24 +97,6 @@ torture-budget:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.tinybudget -timeout=15m
 
-# Overlap-scheduler gate: the async chandy property suites and the
-# scheduler equivalence matrix (every mode x technique x {static,overlap}
-# cell, bitwise/oracle checks plus the counter ledger) under the race
-# detector, then the full-size acceptance run (>=15% partition-lock
-# coloring speedup, determinism across schedulers).
-sched:
-	$(GO) test -race -count=1 ./internal/chandy/
-	$(GO) test -race -count=1 ./internal/engine/ -run 'TestScheduler|TestOverlap' -v
-	$(GO) test -count=1 ./internal/bench/ -run TestScheduler -v
-
-# Forced-overlap torture row (nightly): the pinned sweep rerun with every
-# non-BAP case forced onto the overlap scheduler, so the serializability,
-# conservation, and ledger oracles all run against prefetched forks and
-# stolen partitions.
-torture-sched:
-	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
-		-torture.n=200 -torture.root=0xdecaf -torture.sched -timeout=15m
-
 # 30-second fuzz smoke over the frame decoder: truncated/corrupt/oversized
 # frames must error, never panic or over-allocate; plus a shorter pass over
 # the Credit grant frame against its golden fixture corpus.
@@ -121,6 +107,12 @@ fuzz-wire:
 # Short fuzz pass over the graph loader/symmetrize targets.
 fuzz:
 	$(GO) test ./internal/graph/ -fuzz FuzzEdgeListSymmetrize -fuzztime=60s
+
+# The end-to-end benchmark is its own Go module (perfbench/), outside the
+# root `go test ./...`: vet it and run its self-test, so an internal API
+# change cannot break the benchmark's build unnoticed.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Machine-readable perf baseline: the Fig. 1 spectrum with per-technique
 # metrics snapshots and superstep phase traces. BENCH_NNNN.json files at

@@ -1,25 +1,30 @@
 package chandy
 
-// Tests for the split RequestForks/Collect acquisition API that the
-// overlap scheduler's fork prefetching rides on. The two load-bearing
-// properties:
+// Tests for the split RequestForks/Collect acquisition API. The two
+// load-bearing properties:
 //
 //   - No fork leaks: however many requests are outstanding when a round
-//     drains (prefetched partitions that never ran any compute included),
+//     drains (granted philosophers that never ran any compute included),
 //     collecting and releasing them all restores the quiescent two-sided
 //     edge invariant — exactly one side holds the (dirty) fork, exactly
 //     one side holds the request token, nobody hungry or eating. A leaked
 //     fork here would surface as a cross-worker deadlock at the next
 //     superstep's barrier.
 //   - Acyclic precedence under concurrency: many philosophers issuing
-//     RequestForks simultaneously (the prefetch window) with a delayed
-//     Collect must preserve mutual exclusion and starvation-freedom just
-//     like the blocking Acquire path — the hygienic rules only ever see
-//     hungry philosophers, however they became hungry.
+//     RequestForks simultaneously with a delayed Collect must preserve
+//     mutual exclusion and starvation-freedom just like the blocking
+//     Acquire path — the hygienic rules only ever see hungry
+//     philosophers, however they became hungry.
+//
+// Each property runs twice: on the synchronous oracle (one manager owning
+// every philosopher, so every fork and token moves inline under one lock)
+// and on managers spread over several workers that exchange whole control
+// frames through a loopback, the way the engines' transports carry them.
 
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,27 +32,186 @@ import (
 	"serialgraph/internal/metrics"
 )
 
-// quiescentInvariant checks the drained-state property on a single-worker
-// manager: every philosopher thinking, and each edge's two bytes mirror
-// images of each other (one dirty fork, one token, never zero or two).
-func quiescentInvariant(t *testing.T, m *Manager, adj [][]PhilID) {
+const rigWorkers = 4
+
+// frameLoopback delivers control frames between in-process managers in
+// send order on one goroutine. Delivery cannot be inline: a manager sends
+// while holding its lock, and the receiver may answer at once.
+type frameLoopback struct {
+	mgrs []*Manager
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	q       []loopFrame
+	busy    bool
+	closed  bool
+	frames  int64
+	entries int64
+	done    chan struct{}
+}
+
+type loopFrame struct {
+	to    int
+	frame []Ctrl
+}
+
+func newFrameLoopback(mgrs []*Manager) *frameLoopback {
+	l := &frameLoopback{mgrs: mgrs, done: make(chan struct{})}
+	l.cond = sync.NewCond(&l.mu)
+	go l.run()
+	return l
+}
+
+func (l *frameLoopback) send(to int, frame []Ctrl) {
+	l.mu.Lock()
+	l.q = append(l.q, loopFrame{to, frame})
+	l.frames++
+	l.entries += int64(len(frame))
+	l.mu.Unlock()
+	l.cond.Broadcast()
+}
+
+func (l *frameLoopback) run() {
+	defer close(l.done)
+	l.mu.Lock()
+	for {
+		for len(l.q) == 0 && !l.closed {
+			l.cond.Wait()
+		}
+		if len(l.q) == 0 {
+			l.mu.Unlock()
+			return
+		}
+		f := l.q[0]
+		l.q = l.q[1:]
+		l.busy = true
+		l.mu.Unlock()
+		l.mgrs[f.to].HandleCtrls(f.frame)
+		l.mu.Lock()
+		l.busy = false
+		l.cond.Broadcast()
+	}
+}
+
+// waitIdle blocks until every frame sent so far has been handled.
+func (l *frameLoopback) waitIdle() {
+	l.mu.Lock()
+	for len(l.q) > 0 || l.busy {
+		l.cond.Wait()
+	}
+	l.mu.Unlock()
+}
+
+func (l *frameLoopback) stop() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.cond.Broadcast()
+	<-l.done
+}
+
+// rig is one conflict graph's philosophers on either the synchronous
+// oracle (lb == nil) or rigWorkers framed managers.
+type rig struct {
+	mgrs    []*Manager
+	ownerOf func(PhilID) int
+	lb      *frameLoopback
+}
+
+var rigKinds = []struct {
+	name   string
+	framed bool
+}{{"sync", false}, {"frames", true}}
+
+func newRig(t *testing.T, framed bool, adj [][]PhilID) *rig {
+	r := &rig{ownerOf: func(PhilID) int { return 0 }}
+	if !framed {
+		r.mgrs = []*Manager{singleWorker()}
+	} else {
+		r.ownerOf = func(p PhilID) int { return int(p) % rigWorkers }
+		r.mgrs = make([]*Manager, rigWorkers)
+		for i := range r.mgrs {
+			r.mgrs[i] = NewManager(i, r.ownerOf, nil, nil)
+		}
+		r.lb = newFrameLoopback(r.mgrs)
+		for _, m := range r.mgrs {
+			m.SetFrameSender(r.lb.send)
+		}
+		t.Cleanup(r.lb.stop)
+	}
+	for id := range adj {
+		r.mgr(PhilID(id)).AddPhil(PhilID(id), adj[id])
+	}
+	return r
+}
+
+func (r *rig) mgr(p PhilID) *Manager { return r.mgrs[r.ownerOf(p)] }
+
+func (r *rig) stats() Stats {
+	var sum Stats
+	for _, m := range r.mgrs {
+		st := m.Stats()
+		sum.ForkSends += st.ForkSends
+		sum.TokenSends += st.TokenSends
+		sum.RemoteForkSends += st.RemoteForkSends
+		sum.RemoteTokenSends += st.RemoteTokenSends
+		sum.Meals += st.Meals
+	}
+	return sum
+}
+
+// checkFrames verifies the framed rig's ledger: every remote fork and token
+// crossed in exactly one frame.
+func (r *rig) checkFrames(t *testing.T) {
 	t.Helper()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for id, p := range m.phils {
-		if p.state != thinking {
-			t.Fatalf("phil %d left %v after drain", id, p.state)
+	if r.lb == nil {
+		return
+	}
+	r.lb.waitIdle()
+	st := r.stats()
+	r.lb.mu.Lock()
+	frames, entries := r.lb.frames, r.lb.entries
+	r.lb.mu.Unlock()
+	if remote := st.RemoteForkSends + st.RemoteTokenSends; entries != remote {
+		t.Errorf("frames carried %d entries for %d remote forks and tokens", entries, remote)
+	}
+	if frames == 0 || frames > entries {
+		t.Errorf("%d frames for %d entries", frames, entries)
+	}
+}
+
+// quiescentInvariant checks the drained-state property: every philosopher
+// thinking, and each edge's two bytes mirror images of each other (one
+// dirty fork, one token, never zero or two).
+func quiescentInvariant(t *testing.T, r *rig, adj [][]PhilID) {
+	t.Helper()
+	if r.lb != nil {
+		r.lb.waitIdle()
+	}
+	for _, m := range r.mgrs {
+		m.mu.Lock()
+		for id, p := range m.phils {
+			if p.state != thinking {
+				t.Fatalf("phil %d left %v after drain", id, p.state)
+			}
+			if p.ready != nil {
+				t.Fatalf("phil %d still holds a grant channel after drain", id)
+			}
 		}
-		if p.ready != nil {
-			t.Fatalf("phil %d still holds a grant channel after drain", id)
-		}
+		m.mu.Unlock()
+	}
+	state := func(a, b PhilID) byte {
+		m := r.mgr(a)
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return edgeState(m, a, b)
 	}
 	for a := range adj {
 		for _, b := range adj[a] {
 			if PhilID(a) > b {
 				continue // each undirected edge once
 			}
-			sa, sb := m.phils[PhilID(a)].edges[b], m.phils[b].edges[PhilID(a)]
+			sa, sb := state(PhilID(a), b), state(b, PhilID(a))
 			if sb != Mirror(sa) {
 				t.Fatalf("edge %d-%d not quiescent: %03b / %03b", a, b, sa, sb)
 			}
@@ -56,66 +220,75 @@ func quiescentInvariant(t *testing.T, m *Manager, adj [][]PhilID) {
 }
 
 // TestPrefetchDrainNoForkLeaks is the fork-leak property test: rounds of
-// scheduler-shaped traffic — issue a window of RequestForks, then drain by
-// polling for grants (never blocking on one specific philosopher, exactly
-// like the overlap scheduler's claim loop), collecting and releasing each.
-// None of the granted philosophers runs any compute: these are the
-// "prefetched but unused" forks, and every one must be back in a
-// one-fork-one-token state before the round (the "barrier") ends.
+// request-ahead traffic — issue a window of RequestForks, then drain by
+// polling for grants (never blocking on one specific philosopher),
+// collecting and releasing each. None of the granted philosophers runs
+// any compute: every fork requested ahead and left unused must be back in
+// a one-fork-one-token state before the round (the "barrier") ends. The
+// framed rig replays the oracle's request sequence and must serve the
+// same number of meals.
 func TestPrefetchDrainNoForkLeaks(t *testing.T) {
-	r := rand.New(rand.NewSource(91))
 	const n, rounds = 24, 40
-	adj := randomConflictGraph(r, n, 50)
-	m := singleWorker()
-	for id := 0; id < n; id++ {
-		m.AddPhil(PhilID(id), adj[id])
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for round := 0; round < rounds; round++ {
-		// A random prefetch window: between one philosopher and all of them,
-		// in random order, so neighbors are routinely hungry simultaneously.
-		order := r.Perm(n)[:1+r.Intn(n)]
-		type pending struct {
-			id PhilID
-			ch <-chan struct{}
-		}
-		var outstanding []pending
-		for _, id := range order {
-			ch := m.RequestForks(PhilID(id))
-			if ch == nil {
-				t.Fatal("RequestForks returned nil without an abort")
-			}
-			outstanding = append(outstanding, pending{PhilID(id), ch})
-		}
-		for len(outstanding) > 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: drain stalled with %d outstanding", round, len(outstanding))
-			}
-			progressed := false
-			for i := 0; i < len(outstanding); i++ {
-				select {
-				case <-outstanding[i].ch:
-				default:
-					continue // not granted yet; never block on one phil
+	adj := randomConflictGraph(rand.New(rand.NewSource(91)), n, 50)
+	var meals [2]int64
+	for k, kind := range rigKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			rg := newRig(t, kind.framed, adj)
+			r := rand.New(rand.NewSource(92))
+			deadline := time.Now().Add(20 * time.Second)
+			for round := 0; round < rounds; round++ {
+				// A random window: between one philosopher and all of them,
+				// in random order, so neighbors are routinely hungry together.
+				order := r.Perm(n)[:1+r.Intn(n)]
+				type pending struct {
+					id PhilID
+					ch <-chan struct{}
 				}
-				p := outstanding[i]
-				if !m.Collect(p.id, p.ch) {
-					t.Fatalf("round %d: Collect(%d) failed without an abort", round, p.id)
+				var outstanding []pending
+				for _, id := range order {
+					ch := rg.mgr(PhilID(id)).RequestForks(PhilID(id))
+					if ch == nil {
+						t.Fatal("RequestForks returned nil without an abort")
+					}
+					outstanding = append(outstanding, pending{PhilID(id), ch})
 				}
-				m.Release(p.id)
-				outstanding[i] = outstanding[len(outstanding)-1]
-				outstanding = outstanding[:len(outstanding)-1]
-				progressed = true
-				i--
+				for len(outstanding) > 0 {
+					if time.Now().After(deadline) {
+						t.Fatalf("round %d: drain stalled with %d outstanding", round, len(outstanding))
+					}
+					progressed := false
+					for i := 0; i < len(outstanding); i++ {
+						select {
+						case <-outstanding[i].ch:
+						default:
+							continue // not granted yet; never block on one phil
+						}
+						p := outstanding[i]
+						m := rg.mgr(p.id)
+						if !m.Collect(p.id, p.ch) {
+							t.Fatalf("round %d: Collect(%d) failed without an abort", round, p.id)
+						}
+						m.Release(p.id)
+						outstanding[i] = outstanding[len(outstanding)-1]
+						outstanding = outstanding[:len(outstanding)-1]
+						progressed = true
+						i--
+					}
+					if !progressed {
+						runtime.Gosched()
+					}
+				}
+				quiescentInvariant(t, rg, adj)
 			}
-			if !progressed {
-				runtime.Gosched()
+			rg.checkFrames(t)
+			meals[k] = rg.stats().Meals
+			if meals[k] == 0 {
+				t.Fatal("no meals happened; the property was tested vacuously")
 			}
-		}
-		quiescentInvariant(t, m, adj)
+		})
 	}
-	if got, want := m.Stats().Meals, int64(0); got == want {
-		t.Fatal("no meals happened; the property was tested vacuously")
+	if meals[0] != meals[1] {
+		t.Errorf("framed rig served %d meals, the synchronous oracle %d", meals[1], meals[0])
 	}
 }
 
@@ -128,38 +301,44 @@ func TestPrefetchDrainNoForkLeaks(t *testing.T) {
 // pins the API contract that makes the wait histogram meaningful: exactly
 // one Collect observation per RequestForks.
 func TestConcurrentRequestForksExclusion(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
 	const n, rounds = 20, 30
-	adj := randomConflictGraph(r, n, 40)
-	m := singleWorker()
-	reg := metrics.New()
-	m.SetMetrics(reg)
-	for id := 0; id < n; id++ {
-		m.AddPhil(PhilID(id), adj[id])
-	}
-	acquire := func(p PhilID) {
-		ch := m.RequestForks(p)
-		if ch == nil {
-			t.Error("RequestForks returned nil without an abort")
-			return
-		}
-		runtime.Gosched() // widen the request→collect window
-		if !m.Collect(p, ch) {
-			t.Errorf("Collect(%d) failed without an abort", p)
-		}
-	}
-	exclusionHarness(t, n, adj, m, acquire, m.Release, rounds)
-	if got, want := m.Stats().Meals, int64(n*rounds); got != want {
-		t.Errorf("meals = %d, want %d", got, want)
-	}
-	snap := reg.Snapshot()
-	if got, want := snap.Hist(metrics.HistLockWait).Count, snap.Get(metrics.LockAcquires); got != want {
-		t.Errorf("lock_wait hist count = %d, lock_acquires = %d", got, want)
+	adj := randomConflictGraph(rand.New(rand.NewSource(17)), n, 40)
+	for _, kind := range rigKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			rg := newRig(t, kind.framed, adj)
+			reg := metrics.New()
+			for _, m := range rg.mgrs {
+				m.SetMetrics(reg)
+			}
+			acquire := func(p PhilID) {
+				m := rg.mgr(p)
+				ch := m.RequestForks(p)
+				if ch == nil {
+					t.Error("RequestForks returned nil without an abort")
+					return
+				}
+				runtime.Gosched() // widen the request→collect window
+				if !m.Collect(p, ch) {
+					t.Errorf("Collect(%d) failed without an abort", p)
+				}
+			}
+			release := func(p PhilID) { rg.mgr(p).Release(p) }
+			exclusionHarness(t, n, adj, nil, acquire, release, rounds)
+			if got, want := rg.stats().Meals, int64(n*rounds); got != want {
+				t.Errorf("meals = %d, want %d", got, want)
+			}
+			quiescentInvariant(t, rg, adj)
+			rg.checkFrames(t)
+			snap := reg.Snapshot()
+			if got, want := snap.Hist(metrics.HistLockWait).Count, snap.Get(metrics.LockAcquires); got != want {
+				t.Errorf("lock_wait hist count = %d, lock_acquires = %d", got, want)
+			}
+		})
 	}
 }
 
-// TestDistributedConcurrentRequestForks runs the same prefetch-style
-// acquisition over a real simulated transport, so token and fork messages
+// TestDistributedConcurrentRequestForks runs the same request-ahead
+// acquisition over a real simulated transport, so token and fork frames
 // from concurrently hungry philosophers interleave with network latency.
 func TestDistributedConcurrentRequestForks(t *testing.T) {
 	r := rand.New(rand.NewSource(23))

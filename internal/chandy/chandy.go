@@ -6,8 +6,17 @@
 //
 // Each worker runs one Manager holding the state of its local philosophers.
 // For every pair of neighboring philosophers there is one shared fork, one
-// request token, and a clean/dirty bit, packed into a byte in a two-level
-// map exactly as §6.3 describes. Initial placement follows the paper: the
+// request token, and a clean/dirty bit, packed into a byte as §6.3
+// describes. The paper keeps those bytes in a two-level hash map; here each
+// philosopher holds its neighbors as a sorted slice with a parallel slice
+// of state bytes, because the conflict graph is fixed for a run: a meal
+// walks the bytes in order, and an arriving fork or token finds its edge by
+// binary search. Export and Import keep the map form for checkpoints.
+//
+// Control messages leave a manager in frames: every fork and token bound
+// for another worker is queued in that worker's outbox while the manager's
+// lock is held, and the outboxes drain, one []Ctrl frame per destination,
+// just before the lock drops. Initial placement follows the paper: the
 // philosopher with the smaller ID holds the request token, the one with the
 // larger ID holds the fork, dirty — making the initial precedence graph
 // acyclic, which is what guarantees freedom from deadlock and starvation.
@@ -31,6 +40,7 @@ package chandy
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,11 +84,24 @@ type Ctrl struct {
 }
 
 type phil struct {
-	id      PhilID
-	state   philState
-	edges   map[PhilID]byte
+	id    PhilID
+	state philState
+	// nbrs holds the neighbor IDs sorted and deduplicated; edges[i] is the
+	// state byte of the fork shared with nbrs[i].
+	nbrs    []PhilID
+	edges   []byte
 	missing int           // forks still missing while hungry
 	ready   chan struct{} // closed when all forks acquired
+}
+
+// slot returns the index of neighbor q in p's edge slices, panicking on an
+// edge the topology does not have.
+func (p *phil) slot(q PhilID, what string) int {
+	i, ok := slices.BinarySearch(p.nbrs, q)
+	if !ok {
+		panic(fmt.Sprintf("chandy: %s for unknown edge %d-%d", what, p.id, q))
+	}
+	return i
 }
 
 // Stats counts the synchronization traffic generated by a manager. Remote
@@ -92,12 +115,15 @@ type Stats struct {
 
 // Manager coordinates the philosophers owned by one worker.
 type Manager struct {
-	worker   int
-	ownerOf  func(PhilID) int
-	sendCtrl func(toWorker int, c Ctrl)
-	// preHandoff runs just before a fork is sent to another worker; the
+	worker    int
+	ownerOf   func(PhilID) int
+	sendCtrl  func(toWorker int, c Ctrl)
+	sendFrame func(toWorker int, frame []Ctrl)
+	// preHandoff runs just before a fork is queued for another worker; the
 	// engine uses it to flush pending remote replica updates so that (by
-	// per-lane FIFO delivery) condition C1 holds for the requester.
+	// per-lane FIFO delivery) condition C1 holds for the requester. The
+	// fork's frame is sent later in the same critical section, so it still
+	// follows the flushed data on the lane.
 	preHandoff func(toWorker int)
 
 	mu      sync.Mutex
@@ -105,18 +131,32 @@ type Manager struct {
 	stats   Stats
 	reg     *metrics.Registry
 	aborted bool
+
+	// out[w] queues the control messages for worker w in generation order;
+	// outDests lists the workers with a non-empty outbox. Both are guarded
+	// by mu and emptied by unlock.
+	out      [][]Ctrl
+	outDests []int
 }
 
 // NewManager creates the manager for worker. ownerOf maps any philosopher
-// to its worker; sendCtrl transmits a control message to a remote worker's
-// manager (delivered via HandleCtrl); preHandoff (optional) runs before a
-// fork leaves this worker.
+// to its worker; sendCtrl transmits one control message to a remote
+// worker's manager (delivered via HandleCtrl) and is only used when no
+// frame sender is installed (SetFrameSender); preHandoff (optional) runs
+// before a fork leaves this worker.
 func NewManager(worker int, ownerOf func(PhilID) int, sendCtrl func(toWorker int, c Ctrl), preHandoff func(toWorker int)) *Manager {
 	return &Manager{
 		worker: worker, ownerOf: ownerOf, sendCtrl: sendCtrl, preHandoff: preHandoff,
 		phils: make(map[PhilID]*phil),
 	}
 }
+
+// SetFrameSender installs the frame transmitter: every critical section
+// that generated remote traffic hands each destination worker its control
+// messages as one frame, in generation order, which the receiver passes to
+// HandleCtrls. The frame slice is the sender's to keep. Call before any
+// Acquire.
+func (m *Manager) SetFrameSender(send func(toWorker int, frame []Ctrl)) { m.sendFrame = send }
 
 // AddPhil registers a local philosopher and its neighbors (the philosophers
 // it shares forks with, local or remote). Must be called for all local
@@ -130,15 +170,15 @@ func (m *Manager) AddPhil(id PhilID, neighbors []PhilID) {
 	if _, dup := m.phils[id]; dup {
 		panic(fmt.Sprintf("chandy: philosopher %d registered twice", id))
 	}
-	p := &phil{id: id, state: thinking, edges: make(map[PhilID]byte, len(neighbors))}
-	for _, q := range neighbors {
-		if q == id {
-			continue
-		}
+	nbrs := slices.DeleteFunc(slices.Clone(neighbors), func(q PhilID) bool { return q == id })
+	slices.Sort(nbrs)
+	nbrs = slices.Compact(nbrs)
+	p := &phil{id: id, state: thinking, nbrs: nbrs, edges: make([]byte, len(nbrs))}
+	for i, q := range nbrs {
 		if id < q {
-			p.edges[q] = bitToken // smaller ID: request token
+			p.edges[i] = bitToken // smaller ID: request token
 		} else {
-			p.edges[q] = bitFork | bitDirty // larger ID: dirty fork
+			p.edges[i] = bitFork | bitDirty // larger ID: dirty fork
 		}
 	}
 	m.phils[id] = p
@@ -178,17 +218,12 @@ func (m *Manager) Acquire(id PhilID) bool {
 // non-nil channel — that pairing is what keeps the lock-wait histogram's
 // count equal to lock_acquires. A nil return means the manager is aborted;
 // nothing was requested or counted, and no Collect (or Release) may follow.
-//
-// The overlap scheduler uses this to prefetch forks for boundary partitions
-// while compute threads are still busy elsewhere: the fork-grant latency
-// runs concurrently with useful work instead of blocking a thread. Note
-// that once the channel closes the philosopher is eating — it holds all its
-// forks and excludes its neighbors until Release — so callers should bound
-// how many requests they keep outstanding and collect granted philosophers
-// promptly.
+// Once the channel closes the philosopher is eating — it holds all its
+// forks and excludes its neighbors until Release — so a caller holding
+// several requests open should collect granted philosophers promptly.
 func (m *Manager) RequestForks(id PhilID) <-chan struct{} {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	if m.aborted {
 		// Not counted as a lock acquire: nothing was requested or waited
 		// for, so skipping the counters keeps the wait histogram's count
@@ -207,16 +242,9 @@ func (m *Manager) RequestForks(id PhilID) <-chan struct{} {
 	// can yield a fork back synchronously, and the resulting missing-fork
 	// countdown must start from the complete total.
 	p.missing = 0
-	var requests []PhilID
-	for q, st := range p.edges {
+	for _, st := range p.edges {
 		if st&bitFork == 0 {
 			p.missing++
-			if st&bitToken != 0 {
-				requests = append(requests, q)
-			}
-			// Without the token our request is already pending at the
-			// holder (we sent the token earlier, or the holder will yield
-			// after eating); nothing to do but wait.
 		}
 	}
 	ch := make(chan struct{})
@@ -226,8 +254,15 @@ func (m *Manager) RequestForks(id PhilID) <-chan struct{} {
 		return ch
 	}
 	p.ready = ch
-	for _, q := range requests {
-		m.sendTokenLocked(p, q)
+	// Request every missing fork whose token we hold. Without the token our
+	// request is already pending at the holder (we sent the token earlier,
+	// or the holder will yield after eating); nothing to do but wait. A
+	// local request can only change the edge it travels on, so the rest of
+	// the scan sees the state the count above saw.
+	for i, st := range p.edges {
+		if st&(bitFork|bitToken) == bitToken {
+			m.sendTokenLocked(p, i)
+		}
 	}
 	return ch
 }
@@ -236,9 +271,8 @@ func (m *Manager) RequestForks(id PhilID) <-chan struct{} {
 // channel to close and reports whether the philosopher is eating. A false
 // return means the wait was cut short by Abort; the caller must skip the
 // critical section and must NOT call Release. A grant that arrived before
-// Collect — the fast path, and every successful prefetch — observes zero
-// wait, exactly like Acquire's all-forks-present fast path: the wait was
-// hidden, not paid.
+// Collect observes zero wait, exactly like Acquire's all-forks-present
+// fast path: the wait was hidden, not paid.
 func (m *Manager) Collect(id PhilID, ch <-chan struct{}) bool {
 	select {
 	case <-ch:
@@ -298,19 +332,17 @@ func (m *Manager) ClearAbort() {
 	m.mu.Unlock()
 }
 
-// TryAcquireLocal is a fast path used in tests; not part of the protocol.
-
 // Release ends philosopher id's meal and services deferred requests.
 func (m *Manager) Release(id PhilID) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	p := m.mustPhil(id)
 	if p.state != eating {
 		panic(fmt.Sprintf("chandy: Release(%d) while %v", id, p.state))
 	}
 	p.state = thinking
-	for q := range p.edges {
-		m.maybeYieldLocked(p, q)
+	for i := range p.edges {
+		m.maybeYieldLocked(p, i)
 	}
 }
 
@@ -325,15 +357,62 @@ func (m *Manager) Eating(id PhilID) bool {
 // HandleCtrl processes a control message from another worker's manager.
 func (m *Manager) HandleCtrl(c Ctrl) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
+	m.handleLocked(c)
+}
+
+// HandleCtrls processes a frame from another worker's manager: its
+// messages in order, under one lock hold, answering with at most one frame
+// per destination.
+func (m *Manager) HandleCtrls(frame []Ctrl) {
+	m.mu.Lock()
+	defer m.unlock()
+	for _, c := range frame {
+		m.handleLocked(c)
+	}
+}
+
+func (m *Manager) handleLocked(c Ctrl) {
+	p := m.mustPhil(c.To)
 	switch c.Kind {
 	case TokenMsg:
-		m.tokenArrivesLocked(c.To, c.From)
+		m.tokenArrivesLocked(p, p.slot(c.From, "token"))
 	case ForkMsg:
-		m.forkArrivesLocked(c.To, c.From)
+		m.forkArrivesLocked(p, p.slot(c.From, "fork"))
 	default:
 		panic(fmt.Sprintf("chandy: bad ctrl kind %d", c.Kind))
 	}
+}
+
+// queueLocked appends c to worker to's outbox.
+func (m *Manager) queueLocked(to int, c Ctrl) {
+	if to >= len(m.out) {
+		m.out = append(m.out, make([][]Ctrl, to+1-len(m.out))...)
+	}
+	if len(m.out[to]) == 0 {
+		m.outDests = append(m.outDests, to)
+	}
+	m.out[to] = append(m.out[to], c)
+}
+
+// unlock drains every outbox, one frame per destination, and releases mu.
+// Sending before the lock drops keeps each lane's frames in the order
+// their critical sections ran.
+func (m *Manager) unlock() {
+	for _, to := range m.outDests {
+		frame := m.out[to]
+		if m.sendFrame != nil {
+			m.out[to] = nil // the frame now belongs to the sender
+			m.sendFrame(to, frame)
+			continue
+		}
+		for _, c := range frame {
+			m.sendCtrl(to, c)
+		}
+		m.out[to] = frame[:0]
+	}
+	m.outDests = m.outDests[:0]
+	m.mu.Unlock()
 }
 
 func (m *Manager) mustPhil(id PhilID) *phil {
@@ -344,9 +423,10 @@ func (m *Manager) mustPhil(id PhilID) *phil {
 	return p
 }
 
-// sendTokenLocked moves p's request token for edge (p,q) to q.
-func (m *Manager) sendTokenLocked(p *phil, q PhilID) {
-	p.edges[q] &^= bitToken
+// sendTokenLocked moves p's request token for its edge i to the neighbor.
+func (m *Manager) sendTokenLocked(p *phil, i int) {
+	q := p.nbrs[i]
+	p.edges[i] &^= bitToken
 	m.stats.TokenSends++
 	if m.reg != nil {
 		m.reg.Add(metrics.TokenSends, 1)
@@ -356,33 +436,31 @@ func (m *Manager) sendTokenLocked(p *phil, q PhilID) {
 		if m.reg != nil {
 			m.reg.Add(metrics.TokenSendsRemote, 1)
 		}
-		m.sendCtrl(owner, Ctrl{Kind: TokenMsg, From: p.id, To: q})
+		m.queueLocked(owner, Ctrl{Kind: TokenMsg, From: p.id, To: q})
 		return
 	}
-	m.tokenArrivesLocked(q, p.id)
+	qp := m.mustPhil(q)
+	m.tokenArrivesLocked(qp, qp.slot(p.id, "token"))
 }
 
-// tokenArrivesLocked records a request token at philosopher 'at' for the
-// fork shared with 'from', then applies the yield rule.
-func (m *Manager) tokenArrivesLocked(at, from PhilID) {
-	p := m.mustPhil(at)
-	if _, ok := p.edges[from]; !ok {
-		panic(fmt.Sprintf("chandy: token for unknown edge %d-%d", at, from))
-	}
-	p.edges[from] |= bitToken
-	m.maybeYieldLocked(p, from)
+// tokenArrivesLocked records a request token at p for its edge i, then
+// applies the yield rule.
+func (m *Manager) tokenArrivesLocked(p *phil, i int) {
+	p.edges[i] |= bitToken
+	m.maybeYieldLocked(p, i)
 }
 
-// maybeYieldLocked applies the hygienic release rule for edge (p,q): a
+// maybeYieldLocked applies the hygienic release rule for p's edge i: a
 // philosopher that is not eating and holds a dirty fork whose request token
 // is present must clean the fork and send it over, keeping the token. If p
 // is hungry it immediately re-requests the fork it just gave up.
-func (m *Manager) maybeYieldLocked(p *phil, q PhilID) {
-	st := p.edges[q]
-	if p.state == eating || st&bitFork == 0 || st&bitDirty == 0 || st&bitToken == 0 {
+func (m *Manager) maybeYieldLocked(p *phil, i int) {
+	const yield = bitFork | bitDirty | bitToken
+	if p.state == eating || p.edges[i]&yield != yield {
 		return
 	}
-	p.edges[q] &^= bitFork | bitDirty
+	q := p.nbrs[i]
+	p.edges[i] &^= bitFork | bitDirty
 	if p.state == hungry {
 		// Yielding while hungry: this fork is missing again and must be
 		// re-counted before the re-request below.
@@ -400,27 +478,24 @@ func (m *Manager) maybeYieldLocked(p *phil, q PhilID) {
 		if m.preHandoff != nil {
 			m.preHandoff(owner) // flush replica updates ahead of the fork (C1)
 		}
-		m.sendCtrl(owner, Ctrl{Kind: ForkMsg, From: p.id, To: q})
+		m.queueLocked(owner, Ctrl{Kind: ForkMsg, From: p.id, To: q})
 	} else {
-		m.forkArrivesLocked(q, p.id)
+		qp := m.mustPhil(q)
+		m.forkArrivesLocked(qp, qp.slot(p.id, "fork"))
 	}
 	if p.state == hungry {
 		// We still hold the token, lack the fork, and are hungry: request.
-		m.sendTokenLocked(p, q)
+		m.sendTokenLocked(p, i)
 	}
 }
 
-// forkArrivesLocked records the (clean) fork at philosopher 'at' for the
-// edge shared with 'from' and starts the meal if it was the last fork.
-func (m *Manager) forkArrivesLocked(at, from PhilID) {
-	p := m.mustPhil(at)
-	if _, ok := p.edges[from]; !ok {
-		panic(fmt.Sprintf("chandy: fork for unknown edge %d-%d", at, from))
+// forkArrivesLocked records the (clean) fork at p for its edge i and starts
+// the meal if it was the last fork.
+func (m *Manager) forkArrivesLocked(p *phil, i int) {
+	if p.edges[i]&bitFork != 0 {
+		panic(fmt.Sprintf("chandy: duplicate fork on edge %d-%d", p.id, p.nbrs[i]))
 	}
-	if p.edges[from]&bitFork != 0 {
-		panic(fmt.Sprintf("chandy: duplicate fork on edge %d-%d", at, from))
-	}
-	p.edges[from] |= bitFork // clean
+	p.edges[i] |= bitFork // clean
 	if p.state != hungry {
 		return
 	}
@@ -439,11 +514,11 @@ func (m *Manager) forkArrivesLocked(at, from PhilID) {
 func (m *Manager) startEatingLocked(p *phil) {
 	p.state = eating
 	m.stats.Meals++
-	for q, st := range p.edges {
+	for i, st := range p.edges {
 		if st&bitFork == 0 {
-			panic(fmt.Sprintf("chandy: %d eating without fork %d-%d", p.id, p.id, q))
+			panic(fmt.Sprintf("chandy: %d eating without fork %d-%d", p.id, p.id, p.nbrs[i]))
 		}
-		p.edges[q] |= bitDirty
+		p.edges[i] = st | bitDirty
 	}
 }
 
@@ -468,8 +543,8 @@ func (m *Manager) Export() map[PhilID]map[PhilID]byte {
 	out := make(map[PhilID]map[PhilID]byte, len(m.phils))
 	for id, p := range m.phils {
 		edges := make(map[PhilID]byte, len(p.edges))
-		for q, st := range p.edges {
-			edges[q] = st
+		for i, st := range p.edges {
+			edges[p.nbrs[i]] = st
 		}
 		out[id] = edges
 	}
@@ -508,10 +583,7 @@ func (m *Manager) Import(state map[PhilID]map[PhilID]byte) {
 			panic(fmt.Sprintf("chandy: Import for unknown philosopher %d", id))
 		}
 		for q, st := range edges {
-			if _, ok := p.edges[q]; !ok {
-				panic(fmt.Sprintf("chandy: Import for unknown edge %d-%d", id, q))
-			}
-			p.edges[q] = st
+			p.edges[p.slot(q, "Import")] = st
 		}
 	}
 }

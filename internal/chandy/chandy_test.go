@@ -135,7 +135,9 @@ func TestRandomGraphSingleManager(t *testing.T) {
 	}
 }
 
-// distributed wires w managers over a real simulated transport.
+// distributed wires w managers over a real simulated transport, the way
+// the engines do: each critical section's remote traffic leaves as one
+// frame per destination worker.
 func distributed(t *testing.T, w int, adj [][]PhilID, ownerOf func(PhilID) int, lat cluster.LatencyModel) ([]*Manager, func()) {
 	t.Helper()
 	tr := cluster.New(w, lat)
@@ -143,18 +145,25 @@ func distributed(t *testing.T, w int, adj [][]PhilID, ownerOf func(PhilID) int, 
 	eps := make([]*cluster.Endpoint, w)
 	for i := 0; i < w; i++ {
 		i := i
-		mgrs[i] = NewManager(i, ownerOf, func(toWorker int, c Ctrl) {
-			eps[i].SendCtrl(cluster.WorkerID(toWorker), c)
-		}, nil)
+		mgrs[i] = NewManager(i, ownerOf, nil, nil)
+		mgrs[i].SetFrameSender(func(toWorker int, frame []Ctrl) {
+			eps[i].SendCtrl(cluster.WorkerID(toWorker), frame, cluster.CtrlFrameBytes(len(frame)))
+		})
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
 			func(from cluster.WorkerID, payload any) {
-				mgrs[i].HandleCtrl(payload.(Ctrl))
+				mgrs[i].HandleCtrls(payload.([]Ctrl))
 			})
 	}
 	for id := range adj {
 		mgrs[ownerOf(PhilID(id))].AddPhil(PhilID(id), adj[id])
 	}
 	return mgrs, tr.Close
+}
+
+// edgeState returns the state byte philosopher a keeps for its edge to b.
+func edgeState(m *Manager, a, b PhilID) byte {
+	p := m.phils[a]
+	return p.edges[p.slot(b, "test")]
 }
 
 func TestDistributedPair(t *testing.T) {
@@ -231,12 +240,11 @@ func TestInitialPlacement(t *testing.T) {
 	m := singleWorker()
 	m.AddPhil(1, []PhilID{2})
 	m.AddPhil(2, []PhilID{1})
-	p1, p2 := m.phils[1], m.phils[2]
-	if p1.edges[2] != bitToken {
-		t.Errorf("smaller id state = %b, want token only", p1.edges[2])
+	if st := edgeState(m, 1, 2); st != bitToken {
+		t.Errorf("smaller id state = %b, want token only", st)
 	}
-	if p2.edges[1] != bitFork|bitDirty {
-		t.Errorf("larger id state = %b, want dirty fork", p2.edges[1])
+	if st := edgeState(m, 2, 1); st != bitFork|bitDirty {
+		t.Errorf("larger id state = %b, want dirty fork", st)
 	}
 }
 
@@ -298,7 +306,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 
 func TestPreHandoffRunsBeforeRemoteFork(t *testing.T) {
 	// Worker 0 owns phil 0; worker 1 owns phil 1. When 0's fork leaves for
-	// worker 1, preHandoff(1) must run first.
+	// worker 1, preHandoff(1) must run before the frame carrying it.
 	var order []string
 	var mu sync.Mutex
 	tr := cluster.New(2, cluster.LatencyModel{})
@@ -313,22 +321,24 @@ func TestPreHandoffRunsBeforeRemoteFork(t *testing.T) {
 			order = append(order, "flush")
 			mu.Unlock()
 		}
-		mgrs[i] = NewManager(i, ownerOf, func(toWorker int, c Ctrl) {
-			if c.Kind == ForkMsg {
-				mu.Lock()
-				order = append(order, "fork")
-				mu.Unlock()
+		mgrs[i] = NewManager(i, ownerOf, nil, pre)
+		mgrs[i].SetFrameSender(func(toWorker int, frame []Ctrl) {
+			for _, c := range frame {
+				if c.Kind == ForkMsg {
+					mu.Lock()
+					order = append(order, "fork")
+					mu.Unlock()
+				}
 			}
-			eps[i].SendCtrl(cluster.WorkerID(toWorker), c)
-		}, pre)
+			eps[i].SendCtrl(cluster.WorkerID(toWorker), frame, cluster.CtrlFrameBytes(len(frame)))
+		})
 		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
-			func(from cluster.WorkerID, payload any) { mgrs[i].HandleCtrl(payload.(Ctrl)) })
+			func(from cluster.WorkerID, payload any) { mgrs[i].HandleCtrls(payload.([]Ctrl)) })
 	}
 	mgrs[0].AddPhil(0, []PhilID{1})
 	mgrs[1].AddPhil(1, []PhilID{0})
-	// Phil 0 starts with the token; phil 1 with the dirty fork on worker 1.
-	// Phil 1 requesting is the remote-fork case from worker... actually
-	// phil 0 hungry requests the fork from worker 1: worker 1 yields.
+	// Phil 0 starts with the token, phil 1 with the dirty fork: phil 0
+	// requesting makes worker 1 yield the fork across the network.
 	mgrs[0].Acquire(0)
 	mgrs[0].Release(0)
 	mu.Lock()
@@ -340,6 +350,44 @@ func TestPreHandoffRunsBeforeRemoteFork(t *testing.T) {
 	}
 	if len(order) == 0 {
 		t.Error("no fork exchange happened")
+	}
+}
+
+// TestPerCtrlFallback drives managers with no frame sender installed: each
+// queued message then leaves through the per-Ctrl sendCtrl callback, one
+// call per fork or token, still in generation order per destination.
+func TestPerCtrlFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	n, w := 16, 4
+	adj := randomConflictGraph(r, n, 30)
+	ownerOf := func(p PhilID) int { return int(p) % w }
+	tr := cluster.New(w, cluster.LatencyModel{Propagation: 50 * time.Microsecond})
+	defer tr.Close()
+	mgrs := make([]*Manager, w)
+	eps := make([]*cluster.Endpoint, w)
+	var sent atomic.Int64
+	for i := 0; i < w; i++ {
+		i := i
+		mgrs[i] = NewManager(i, ownerOf, func(toWorker int, c Ctrl) {
+			sent.Add(1)
+			eps[i].SendCtrl(cluster.WorkerID(toWorker), c, cluster.CtrlBytes)
+		}, nil)
+		eps[i] = cluster.NewEndpoint(tr, cluster.WorkerID(i), nil,
+			func(from cluster.WorkerID, payload any) { mgrs[i].HandleCtrl(payload.(Ctrl)) })
+	}
+	for id := range adj {
+		mgrs[ownerOf(PhilID(id))].AddPhil(PhilID(id), adj[id])
+	}
+	acquire := func(p PhilID) { mgrs[ownerOf(p)].Acquire(p) }
+	release := func(p PhilID) { mgrs[ownerOf(p)].Release(p) }
+	exclusionHarness(t, n, adj, nil, acquire, release, 10)
+	var remote int64
+	for _, m := range mgrs {
+		st := m.Stats()
+		remote += st.RemoteForkSends + st.RemoteTokenSends
+	}
+	if remote == 0 || sent.Load() != remote {
+		t.Errorf("sendCtrl called %d times for %d remote forks and tokens", sent.Load(), remote)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 // entries' payload bytes.
 const (
 	CtrlBytes        = 64 // a fork, token, or other control message
+	CtrlEntryBytes   = 9  // each fork or token after a control frame's first
 	AckBytes         = 16
 	FlushMarkerBytes = 16
 	BatchHeaderBytes = 32
@@ -99,9 +100,14 @@ func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
 	e.t.Send(Message{From: e.id, To: to, Kind: Data, Bytes: bytes, Payload: payload})
 }
 
-// SendCtrl sends a control payload (fork, token, barrier vote...).
-func (e *Endpoint) SendCtrl(to WorkerID, payload any) {
-	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: CtrlBytes, Payload: payload})
+// CtrlFrameBytes is the simulated size of a control frame of n entries: a
+// one-entry frame costs exactly one CtrlBytes message.
+func CtrlFrameBytes(n int) int { return CtrlBytes + CtrlEntryBytes*(n-1) }
+
+// SendCtrl sends a control payload (a frame of forks and tokens, a barrier
+// vote...) of the given simulated size.
+func (e *Endpoint) SendCtrl(to WorkerID, payload any, bytes int) {
+	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: bytes, Payload: payload})
 }
 
 // FlushWait sends a flush marker to each worker in targets and blocks until

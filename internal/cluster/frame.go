@@ -35,7 +35,7 @@ import (
 
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
 // frame layout or any payload encoding changes incompatibly.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -48,7 +48,9 @@ const MaxFrameBytes = 16 << 20
 const (
 	// FrameData is a batch of vertex messages ([]msgstore.Entry[M]).
 	FrameData byte = 0x01
-	// FrameCtrl is a Chandy–Misra fork/token control message.
+	// FrameCtrl is a frame of Chandy–Misra forks and tokens for one
+	// destination worker ([]chandy.Ctrl): a uvarint entry count, then per
+	// entry a kind byte and zigzag varint from and to philosopher IDs.
 	FrameCtrl byte = 0x02
 	// FrameFlush is a FlushMarker.
 	FrameFlush byte = 0x03
@@ -118,7 +120,7 @@ type Frame struct {
 // Frame decoding errors. Decoders must return these (wrapped is fine) and
 // never panic: FuzzFrameDecode feeds arbitrary bytes through this path.
 var (
-	ErrFrameTooLarge = errors.New("cluster: frame exceeds MaxFrameBytes")
+	ErrFrameTooLarge  = errors.New("cluster: frame exceeds MaxFrameBytes")
 	ErrFrameTruncated = errors.New("cluster: truncated frame")
 	ErrFrameCorrupt   = errors.New("cluster: corrupt frame")
 )

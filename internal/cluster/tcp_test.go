@@ -10,6 +10,7 @@ package cluster_test
 import (
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,11 +135,11 @@ func TestTCPCtrlRoundTrip(t *testing.T) {
 	gotCtrl := make(chan any, 1)
 	cluster.NewEndpoint(tr, 0, nil, nil)
 	cluster.NewEndpoint(tr, 1, nil, func(from cluster.WorkerID, payload any) { gotCtrl <- payload })
-	want := chandy.Ctrl{Kind: chandy.ForkMsg, From: 42, To: -7}
-	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Control, Bytes: cluster.CtrlBytes, Payload: want})
+	want := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 42, To: -7}, {Kind: chandy.TokenMsg, From: 42, To: -7}}
+	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Control, Bytes: cluster.CtrlFrameBytes(len(want)), Payload: want})
 	select {
 	case p := <-gotCtrl:
-		if p != want {
+		if !slices.Equal(p.([]chandy.Ctrl), want) {
 			t.Errorf("ctrl payload = %+v, want %+v", p, want)
 		}
 	case <-time.After(5 * time.Second):
@@ -187,7 +188,7 @@ func TestTCPKillDropsDataButNotControl(t *testing.T) {
 	}
 	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Data, Payload: batch(0, 1)})
 	tr.Send(cluster.Message{From: 1, To: 0, Kind: cluster.Data, Payload: batch(0, 1)})
-	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Control, Payload: chandy.Ctrl{}})
+	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Control, Payload: []chandy.Ctrl{{}}})
 	tr.Send(cluster.Message{From: 0, To: 1, Kind: cluster.Ack, Payload: cluster.AckMsg{Seq: 1}})
 	tr.WaitIdle()
 	if got := data.Load(); got != 0 {

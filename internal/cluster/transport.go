@@ -20,6 +20,7 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -438,9 +439,7 @@ func (t *Mem) deliver(l *lane) {
 		l.q = l.q[1:]
 		l.mu.Unlock()
 
-		if d := time.Until(tm.deliverAt); d > 0 {
-			time.Sleep(d)
-		}
+		waitUntil(tm.deliverAt)
 		if tm.wireLost || (tm.msg.Kind == Data && t.dead[tm.msg.To].Load()) {
 			// Lost on the wire: injected (DropDelivery) or the receiver
 			// crashed while the message was in flight.
@@ -463,6 +462,24 @@ func (t *Mem) deliver(l *lane) {
 			t.idleCond.Broadcast()
 		}
 		t.inflightMu.Unlock()
+	}
+}
+
+// sleepGranularity is how late a sub-millisecond time.Sleep can wake: with
+// every P idle the Go runtime parks in the netpoller, whose timeout has
+// millisecond resolution, so a 50µs sleep then takes about 1ms.
+const sleepGranularity = time.Millisecond
+
+// waitUntil returns at t, not up to a millisecond later: it sleeps only the
+// part of the wait beyond sleepGranularity and yields the processor for the
+// rest, so simulated latency matches the LatencyModel however idle the
+// process is.
+func waitUntil(t time.Time) {
+	if d := time.Until(t) - sleepGranularity; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(t) {
+		runtime.Gosched()
 	}
 }
 

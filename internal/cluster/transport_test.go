@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +67,32 @@ func TestPropagationDelay(t *testing.T) {
 	at := <-got
 	if d := at.Sub(start); d < 25*time.Millisecond {
 		t.Errorf("delivered after %v, want >= ~30ms", d)
+	}
+}
+
+// TestSubMillisecondDeliveryOnTime pins on-time delivery on an idle
+// process: a plain time.Sleep(50µs) wakes about 1ms late when every P is
+// idle, which would make every simulated hop cost 20× its modeled latency.
+// Pinging one message at a time keeps the process idle between hops.
+func TestSubMillisecondDeliveryOnTime(t *testing.T) {
+	const pings = 200
+	tr := New(2, LatencyModel{Propagation: 50 * time.Microsecond})
+	defer tr.Close()
+	tr.RegisterHandler(0, func(m Message) {})
+	got := make(chan time.Time, 1)
+	tr.RegisterHandler(1, func(m Message) { got <- time.Now() })
+	lat := make([]time.Duration, pings)
+	for i := range lat {
+		start := time.Now()
+		tr.Send(Message{From: 0, To: 1, Kind: Control})
+		lat[i] = (<-got).Sub(start)
+		if lat[i] < 50*time.Microsecond {
+			t.Fatalf("ping %d delivered after %v, before its 50µs propagation", i, lat[i])
+		}
+	}
+	slices.Sort(lat)
+	if med := lat[pings/2]; med >= 500*time.Microsecond {
+		t.Errorf("median send-to-handler latency %v at 50µs propagation, want < 500µs", med)
 	}
 }
 

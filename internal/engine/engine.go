@@ -264,6 +264,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	if cfg.Mode == BAP {
 		r.runBAP(&res)
 		res.ComputeTime = time.Since(start)
+		r.tr.Close() // before the final snapshots; see the BSP/Async return
 		res.Net = r.tr.Stats().Load()
 		res.Executions = r.executions.Load()
 		res.MaxConcurrency = r.maxConc.Load()
@@ -474,6 +475,11 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		}
 	}
 	res.ComputeTime = time.Since(start)
+	// Close the transport before the final snapshots: the TCP backend's
+	// lane writers keep accounting wire flushes and bytes until Close joins
+	// them, so a snapshot taken earlier could miss their last updates and
+	// disagree with the registry the caller reads after Run returns.
+	r.tr.Close()
 	res.Net = r.tr.Stats().Load()
 	res.Executions = r.executions.Load()
 	res.MaxConcurrency = r.maxConc.Load()

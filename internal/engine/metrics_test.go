@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -50,40 +51,28 @@ func checkConservation(t *testing.T, res Result) {
 func TestMetricsConservation(t *testing.T) {
 	g := testGraph(t)
 	cases := []struct {
-		name  string
-		mode  Mode
-		sync  Sync
-		sched SchedulerKind
+		name string
+		mode Mode
+		sync Sync
 	}{
-		{"bsp", BSP, SyncNone, SchedStatic},
-		{"async-none", Async, SyncNone, SchedStatic},
-		{"async-token-single", Async, TokenSingle, SchedStatic},
-		{"async-token-dual", Async, TokenDual, SchedStatic},
-		{"async-partition-lock", Async, PartitionLock, SchedStatic},
-		{"async-vertex-lock", Async, VertexLockGiraph, SchedStatic},
-		{"bap-none", BAP, SyncNone, SchedStatic},
-		{"bap-partition-lock", BAP, PartitionLock, SchedStatic},
-		// The overlap scheduler reorders partition execution but must leave
-		// every conservation equality intact: prefetches are LockAcquires
-		// observed by the wait histogram, internal partitions still run the
-		// blocking fast path, and flush/deliver bookkeeping is untouched.
-		{"async-none-overlap", Async, SyncNone, SchedOverlap},
-		{"async-token-dual-overlap", Async, TokenDual, SchedOverlap},
-		{"async-partition-lock-overlap", Async, PartitionLock, SchedOverlap},
+		{"bsp", BSP, SyncNone},
+		{"async-none", Async, SyncNone},
+		{"async-token-single", Async, TokenSingle},
+		{"async-token-dual", Async, TokenDual},
+		{"async-partition-lock", Async, PartitionLock},
+		{"async-vertex-lock", Async, VertexLockGiraph},
+		{"bap-none", BAP, SyncNone},
+		{"bap-partition-lock", BAP, PartitionLock},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Workers: 4, Mode: tc.mode, Sync: tc.sync, Seed: 5,
-				Scheduler: tc.sched,
-			}
+			cfg := Config{Workers: 4, Mode: tc.mode, Sync: tc.sync, Seed: 5}
 			_, res, _, err := Run(g, algorithms.SSSP(0), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkConservation(t, res)
-			checkSchedCounters(t, tc.name, cfg, res)
 			m := res.Metrics
 			if tc.mode == BAP {
 				if got := m.Get(metrics.Supersteps); got < int64(res.Supersteps) {
@@ -109,6 +98,18 @@ func TestMetricsConservation(t *testing.T) {
 				if got, want := m.Get(metrics.TokenSends), res.TokenSends; got != want {
 					t.Errorf("token_sends = %d, Result.TokenSends = %d", got, want)
 				}
+				// Every remote fork and token rides in exactly one frame, and
+				// a frame costs CtrlBytes plus CtrlEntryBytes per extra entry.
+				frames, entries := m.Get(metrics.CtrlMessages), m.Get(metrics.CtrlEntries)
+				if want := m.Get(metrics.ForkGrantsRemote) + m.Get(metrics.TokenSendsRemote); entries != want || entries == 0 {
+					t.Errorf("ctrl_entries = %d, fork_grants_remote + token_sends_remote = %d", entries, want)
+				}
+				if frames > entries {
+					t.Errorf("ctrl_messages = %d frames > ctrl_entries = %d", frames, entries)
+				}
+				if got, want := m.Get(metrics.CtrlBytes), frames*cluster.CtrlBytes+(entries-frames)*cluster.CtrlEntryBytes; got != want {
+					t.Errorf("ctrl_bytes = %d, frame size model gives %d", got, want)
+				}
 			case TokenSingle, TokenDual:
 				if m.Get(metrics.FlushMarkers) == 0 {
 					t.Error("token run recorded no flush markers")
@@ -118,6 +119,30 @@ func TestMetricsConservation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMetricsFinalWhenRunReturns pins that Result.Metrics is the registry's
+// final state: over TCP the lane writers account wire time until the
+// transport closes, so a snapshot taken before Close can miss their last
+// updates. The loop gives that race many chances on both return paths,
+// the barriered loop and BAP.
+func TestMetricsFinalWhenRunReturns(t *testing.T) {
+	equivRequireLoopback(t)
+	g := equivGraph(true)
+	for i := 0; i < 20; i++ {
+		cfg := Config{Workers: 3, PartitionsPerWorker: 2, Mode: Async, Sync: TokenDual,
+			Transport: TransportTCP, Seed: uint64(i), MaxSupersteps: 200, Metrics: metrics.New()}
+		if i%4 == 3 {
+			cfg.Mode, cfg.Sync = BAP, PartitionLock
+		}
+		_, res, _, err := Run(g, algorithms.Coloring(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg.Metrics.Snapshot(), res.Metrics) {
+			t.Fatalf("run %d (%v/%v): registry changed after Run returned", i, cfg.Mode, cfg.Sync)
+		}
 	}
 }
 

@@ -45,14 +45,6 @@ type worker[V, M any] struct {
 	// per superstep.
 	partIdx map[partition.ID]int
 
-	// boundaryParts/internalParts split parts by whether the partition
-	// shares forks with any neighbor partition. Populated by
-	// initLockManager (PartitionLock only); the overlap scheduler
-	// prefetches forks for the boundary list and fills the wait windows
-	// with the internal list.
-	boundaryParts []partition.ID
-	internalParts []partition.ID
-
 	// threads holds one thread scratch object per compute thread, reused
 	// across supersteps so reader scratch, staging buffers, and aggregator
 	// maps keep their capacity instead of being reallocated every step.
@@ -188,30 +180,25 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	return w
 }
 
-// initLockManager sets up partition philosophers (§5.4). preHandoff flushes
-// this worker's buffered remote replica updates to the fork's destination
-// worker; per-lane FIFO then guarantees the data precedes the fork,
-// enforcing condition C1 for the requesting partition.
-func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
-	ownerOf := func(p chandy.PhilID) int { return w.r.pm.WorkerOfPartition(partition.ID(p)) }
-	sendCtrl := w.sendChandyCtrl
-	preHandoff := func(toWorker int) { w.buf.FlushTo(toWorker) }
-	w.mgr = chandy.NewManager(w.id, ownerOf, sendCtrl, preHandoff)
+// newLockManager creates the worker's Chandy–Misra manager. preHandoff
+// flushes this worker's buffered remote replica updates to the fork's
+// destination worker; per-lane FIFO then guarantees the data precedes the
+// fork's frame, enforcing condition C1 for the requesting philosopher.
+func (w *worker[V, M]) newLockManager(ownerOf func(chandy.PhilID) int) {
+	w.mgr = chandy.NewManager(w.id, ownerOf, nil, func(toWorker int) { w.buf.FlushTo(toWorker) })
+	w.mgr.SetFrameSender(w.sendChandyFrame)
 	w.mgr.SetMetrics(w.r.reg)
+}
+
+// initLockManager sets up partition philosophers (§5.4).
+func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
+	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOfPartition(partition.ID(p)) })
 	for _, p := range w.parts {
 		nbs := make([]chandy.PhilID, 0, len(partNeighbors[p]))
 		for _, q := range partNeighbors[p] {
 			nbs = append(nbs, chandy.PhilID(q))
 		}
 		w.mgr.AddPhil(chandy.PhilID(p), nbs)
-		if len(nbs) > 0 {
-			w.boundaryParts = append(w.boundaryParts, p)
-		} else {
-			w.internalParts = append(w.internalParts, p)
-		}
-	}
-	if w.r.cfg.Scheduler == SchedOverlap {
-		w.orderBoundaryByColor(partNeighbors)
 	}
 }
 
@@ -221,11 +208,7 @@ func (w *worker[V, M]) initLockManager(partNeighbors [][]partition.ID) {
 // p-internal vertices are serialized by their partition's sequential
 // execution.
 func (w *worker[V, M]) initVertexLockManager() {
-	ownerOf := func(p chandy.PhilID) int { return w.r.pm.WorkerOf(graph.VertexID(p)) }
-	sendCtrl := w.sendChandyCtrl
-	preHandoff := func(toWorker int) { w.buf.FlushTo(toWorker) }
-	w.mgr = chandy.NewManager(w.id, ownerOf, sendCtrl, preHandoff)
-	w.mgr.SetMetrics(w.r.reg)
+	w.newLockManager(func(p chandy.PhilID) int { return w.r.pm.WorkerOf(graph.VertexID(p)) })
 	for _, p := range w.parts {
 		for _, v := range w.r.pm.Vertices(p) {
 			if !w.r.pBoundary[v] {
@@ -243,13 +226,16 @@ func (w *worker[V, M]) initVertexLockManager() {
 	}
 }
 
-// sendChandyCtrl is the lock managers' control channel: it counts the
-// message at the exact point it is handed to the transport, keeping the
-// ctrl_messages counter reconcilable with cluster.Stats.ControlMessages.
-func (w *worker[V, M]) sendChandyCtrl(toWorker int, c chandy.Ctrl) {
+// sendChandyFrame is the lock manager's control channel: it counts the
+// frame at the exact point it is handed to the transport, keeping the
+// ctrl_messages and ctrl_bytes counters reconcilable with cluster.Stats,
+// and ctrl_entries with the manager's remote fork and token counts.
+func (w *worker[V, M]) sendChandyFrame(toWorker int, frame []chandy.Ctrl) {
+	bytes := cluster.CtrlFrameBytes(len(frame))
 	w.r.reg.Add(metrics.CtrlMessages, 1)
-	w.r.reg.Add(metrics.CtrlBytes, cluster.CtrlBytes)
-	w.ep.SendCtrl(cluster.WorkerID(toWorker), c)
+	w.r.reg.Add(metrics.CtrlEntries, int64(len(frame)))
+	w.r.reg.Add(metrics.CtrlBytes, int64(bytes))
+	w.ep.SendCtrl(cluster.WorkerID(toWorker), frame, bytes)
 }
 
 // onData applies an arriving batch of remote vertex messages. Under BSP the
@@ -286,8 +272,8 @@ func (w *worker[V, M]) onData(from cluster.WorkerID, payload any) {
 
 func (w *worker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
 	switch c := payload.(type) {
-	case chandy.Ctrl:
-		w.mgr.HandleCtrl(c)
+	case []chandy.Ctrl:
+		w.mgr.HandleCtrls(c)
 	default:
 		panic("engine: unexpected control payload")
 	}
@@ -344,11 +330,7 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	w.curStep.Store(int64(s))
 	reg := w.r.reg
 	computeStart := time.Now()
-	if w.r.cfg.Scheduler == SchedOverlap {
-		w.computeOverlap(s)
-	} else {
-		w.computeStatic(s)
-	}
+	w.compute(s)
 	flushStart := time.Now()
 	reg.AddPhase(metrics.PhaseCompute, flushStart.Sub(computeStart))
 
@@ -368,11 +350,11 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	reg.AddPhase(metrics.PhaseRemoteFlush, w.finish.Sub(flushStart))
 }
 
-// computeStatic is the original partition scheduler: a shared queue in
-// partition order, each thread pulling the next partition when free. Under
+// compute runs one superstep's partitions: a shared queue in partition
+// order, each thread pulling the next partition when free. Under
 // PartitionLock every boundary partition's fork acquisition blocks its
 // thread inline.
-func (w *worker[V, M]) computeStatic(s int) {
+func (w *worker[V, M]) compute(s int) {
 	queue := make(chan partition.ID, len(w.parts))
 	for _, p := range w.parts {
 		queue <- p

@@ -274,9 +274,11 @@ func newGWorker[V comparable, M any](r *grunner[V, M], id int) *gworker[V, M] {
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
 	if r.cfg.Serializable {
 		ownerOf := func(p chandy.PhilID) int { return r.pm.WorkerOf(graph.VertexID(p)) }
-		sendCtrl := func(toWorker int, c chandy.Ctrl) { w.ep.SendCtrl(cluster.WorkerID(toWorker), c) }
 		preHandoff := func(toWorker int) { w.flushTo(toWorker) }
-		w.mgr = chandy.NewManager(id, ownerOf, sendCtrl, preHandoff)
+		w.mgr = chandy.NewManager(id, ownerOf, nil, preHandoff)
+		w.mgr.SetFrameSender(func(toWorker int, frame []chandy.Ctrl) {
+			w.ep.SendCtrl(cluster.WorkerID(toWorker), frame, cluster.CtrlFrameBytes(len(frame)))
+		})
 		for v := 0; v < n; v++ {
 			u := graph.VertexID(v)
 			if r.pm.WorkerOf(u) != id {
@@ -525,5 +527,5 @@ func (w *gworker[V, M]) onData(from cluster.WorkerID, payload any) {
 }
 
 func (w *gworker[V, M]) onCtrl(from cluster.WorkerID, payload any) {
-	w.mgr.HandleCtrl(payload.(chandy.Ctrl))
+	w.mgr.HandleCtrls(payload.([]chandy.Ctrl))
 }

@@ -71,6 +71,10 @@ const (
 	// CtrlBytes is the simulated wire bytes of those control messages;
 	// equals cluster.Stats.ControlBytes.
 	CtrlBytes
+	// CtrlEntries counts the forks and tokens carried inside Chandy–Misra
+	// control frames (one frame per destination per critical section), so
+	// it equals fork_grants_remote + token_sends_remote.
+	CtrlEntries
 	// FlushMarkers counts the flush-with-ack markers of token handoffs
 	// (a subset of CtrlMessages).
 	FlushMarkers
@@ -143,20 +147,6 @@ const (
 	// CutEdges. Together they make partition quality visible in every
 	// metrics snapshot.
 	BoundaryVertices
-	// ForksPrefetched counts asynchronous fork acquisitions issued ahead of
-	// a partition's execution by the overlap scheduler (RequestForks calls
-	// from the prefetch path). Every prefetch is also a LockAcquires, so
-	// forks_prefetched <= lock_acquires; zero under the static scheduler.
-	ForksPrefetched
-	// Steals counts work-stealing events: a compute thread taking work from
-	// another thread's deque. Zero under the static scheduler.
-	Steals
-	// OverlapComputeNs is thread time spent executing partitions while this
-	// worker had fork prefetches outstanding — the compute that the overlap
-	// scheduler placed inside fork-wait windows. An overlap estimate, not a
-	// disjoint phase: it sums across threads. Zero under the static
-	// scheduler.
-	OverlapComputeNs
 	numCounters
 )
 
@@ -173,6 +163,7 @@ var counterNames = [numCounters]string{
 	"remote_batch_bytes",
 	"ctrl_messages",
 	"ctrl_bytes",
+	"ctrl_entries",
 	"flush_markers",
 	"lock_acquires",
 	"lock_wait_ns",
@@ -194,9 +185,6 @@ var counterNames = [numCounters]string{
 	"bytes_spilled",
 	"cut_edges",
 	"boundary_vertices",
-	"forks_prefetched",
-	"steals",
-	"overlap_compute_ns",
 }
 
 // Name returns the stable JSON key of a counter.

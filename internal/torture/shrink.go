@@ -62,13 +62,6 @@ var transforms = []transform{
 		sc.Transport = engine.TransportInProc
 		return sc, true
 	}},
-	{"static-scheduler", func(sc Scenario) (Scenario, bool) {
-		if sc.Scheduler == engine.SchedStatic {
-			return sc, false
-		}
-		sc.Scheduler = engine.SchedStatic
-		return sc, true
-	}},
 	{"hash-partitioner", func(sc Scenario) (Scenario, bool) {
 		if sc.Partitioner == "hash" {
 			return sc, false

@@ -97,13 +97,6 @@ type Scenario struct {
 	// budget-independent by design, which sweeping it here proves.
 	MsgBudget int64
 
-	// Scheduler selects the per-worker partition scheduler (static order or
-	// the overlap scheduler with fork prefetch and work stealing). Results
-	// and oracles are scheduler-independent by design — the scheduler only
-	// reorders one worker's own partitions — which sweeping it proves.
-	// Never SchedOverlap under BAP (engine.Config rejects the pairing).
-	Scheduler engine.SchedulerKind
-
 	MaxSupersteps int
 }
 
@@ -112,9 +105,9 @@ func (sc Scenario) String() string {
 	if sc.Fault != nil {
 		f = sc.Fault.String()
 	}
-	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v budget=%d sched=%v",
+	return fmt.Sprintf("seed=%#x shape=%s n=%d alg=%s workers=%d parts=%d threads=%d partitioner=%s mode=%v sync=%v transport=%v ckpt=%d fault=%s recovery=%v broken=%v budget=%d",
 		sc.Seed, sc.Shape, sc.N, sc.Algorithm, sc.Workers, sc.PartsPerWorker,
-		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol, sc.MsgBudget, sc.Scheduler)
+		sc.Threads, sc.Partitioner, sc.Mode, sc.Sync, sc.Transport, sc.CheckpointEvery, f, sc.Recovery, sc.BreakProtocol, sc.MsgBudget)
 }
 
 // mix64 is the splitmix64 finalizer, the same mixer hash partitioning uses.
@@ -244,14 +237,6 @@ func Sample(seed uint64) Scenario {
 	if r.Intn(4) == 0 {
 		sc.Partitioner = "fennel"
 	}
-	// The overlap scheduler joins as the newest trailing draw (after every
-	// dimension older seeds decoded). The draw itself is unconditional so
-	// any future trailing dimension decodes identically across modes; the
-	// override skips BAP, whose barrierless per-worker loop has no
-	// superstep for the scheduler to reorder (engine.Config rejects it).
-	if r.Intn(3) == 0 && sc.Mode != engine.BAP {
-		sc.Scheduler = engine.SchedOverlap
-	}
 	return sc
 }
 
@@ -336,7 +321,6 @@ func buildConfig(sc Scenario, ckptDir string) engine.Config {
 		Recovery:                   sc.Recovery,
 		TrackHistory:               sc.serializabilityPromised() && !sc.lossy(),
 		MsgMemoryBudget:            sc.MsgBudget,
-		Scheduler:                  sc.Scheduler,
 		// An external registry, so checkMetrics can re-snapshot it after the
 		// run and verify Result.Metrics is a true immutable copy.
 		Metrics: metrics.New(),
@@ -577,6 +561,10 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 	if got, want := m.Get(metrics.CtrlBytes), res.Net.ControlBytes; got != want {
 		errs = append(errs, fmt.Errorf("metrics: ctrl_bytes = %d, transport ControlBytes = %d", got, want))
 	}
+	// Every remote fork and token rides in exactly one control frame.
+	if got, want := m.Get(metrics.CtrlEntries), m.Get(metrics.ForkGrantsRemote)+m.Get(metrics.TokenSendsRemote); got != want {
+		errs = append(errs, fmt.Errorf("metrics: ctrl_entries = %d, fork_grants_remote + token_sends_remote = %d", got, want))
+	}
 
 	// Data-side conservation. Fault-free: every emitted batch was counted
 	// by the transport, and every flushed entry was delivered. Faulty:
@@ -621,27 +609,6 @@ func checkMetrics(cfg engine.Config, res engine.Result) []error {
 	}
 	if got, want := m.Hist(metrics.HistLockWait).Count, m.Get(metrics.LockAcquires); got != want {
 		errs = append(errs, fmt.Errorf("metrics: lock_wait hist count = %d, lock_acquires = %d", got, want))
-	}
-
-	// Scheduler ledgers: only the overlap scheduler may prefetch or steal,
-	// prefetches are a subset of lock acquires (each one counts as an
-	// acquire at request time), and only partition locking has forks to
-	// prefetch — under any other technique the overlap scheduler runs all
-	// partitions through the deques and the prefetch counters stay zero.
-	pref := m.Get(metrics.ForksPrefetched)
-	if cfg.Scheduler != engine.SchedOverlap {
-		if steals := m.Get(metrics.Steals); pref != 0 || steals != 0 || m.Get(metrics.OverlapComputeNs) != 0 {
-			errs = append(errs, fmt.Errorf("metrics: static scheduler moved overlap counters: prefetched=%d steals=%d overlap_ns=%d",
-				pref, steals, m.Get(metrics.OverlapComputeNs)))
-		}
-	} else {
-		if pref > m.Get(metrics.LockAcquires) {
-			errs = append(errs, fmt.Errorf("metrics: forks_prefetched = %d > lock_acquires = %d", pref, m.Get(metrics.LockAcquires)))
-		}
-		if cfg.Sync != engine.PartitionLock && (pref != 0 || m.Get(metrics.OverlapComputeNs) != 0) {
-			errs = append(errs, fmt.Errorf("metrics: prefetch counters moved without partition locking: prefetched=%d overlap_ns=%d",
-				pref, m.Get(metrics.OverlapComputeNs)))
-		}
 	}
 
 	// Recovery-phase ledgers: the counters and Result fields are written at

@@ -17,6 +17,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"testing"
 
 	"serialgraph/internal/chandy"
@@ -38,6 +39,9 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // length prefix > MaxFrameBytes
 	f.Add([]byte{0, 0, 0, 7, cluster.FrameData, 0, 0, 0, 0, 0, 0xff})
+	// A multi-entry control frame whose count promises one entry more than
+	// its body holds.
+	f.Add(rawFrame(cluster.FrameCtrl, 0, 1, []byte{3, 1, 2, 4, 0, 6, 8}))
 
 	c64 := NewCodec[float64]()
 	c32 := NewCodec[int32]()
@@ -199,15 +203,22 @@ func TestFuzzSeedsHealthy(t *testing.T) {
 			_, _ = c64.DecodePayload(fr.Type, fr.Payload)
 		}
 	}
-	// A ctrl frame decoded by any codec yields the identical chandy.Ctrl
-	// (the payload has no message values).
-	fork := chandy.Ctrl{Kind: chandy.ForkMsg, From: 3, To: -1}
-	_, buf, err := NewCodec[float64]().EncodePayload(fork, nil)
+	// A ctrl frame decoded by any codec yields the identical entries (the
+	// payload has no message values).
+	frame := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 3, To: -1}, {Kind: chandy.TokenMsg, From: 3, To: 8}}
+	_, buf, err := NewCodec[float64]().EncodePayload(frame, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := NewCodec[exoticMsg]().DecodePayload(cluster.FrameCtrl, buf)
-	if err != nil || got.(chandy.Ctrl) != fork {
+	if err != nil || !slices.Equal(got.([]chandy.Ctrl), frame) {
 		t.Fatalf("cross-codec ctrl decode: %#v, %v", got, err)
+	}
+	// An empty frame is never sent, so it neither encodes nor decodes.
+	if _, _, err := NewCodec[float64]().EncodePayload([]chandy.Ctrl{}, nil); err == nil {
+		t.Error("empty control frame encoded")
+	}
+	if _, err := NewCodec[float64]().DecodePayload(cluster.FrameCtrl, []byte{0}); err == nil {
+		t.Error("zero-entry control frame decoded")
 	}
 }

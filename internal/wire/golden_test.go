@@ -77,8 +77,15 @@ func goldenCases(t testing.TB) []goldenCase {
 	batchGob := []msgstore.Entry[exoticMsg]{
 		{Dst: 5, Src: 4, Msg: exoticMsg{ID: 9, Core: 2.5}, Ver: 1, Slot: 0},
 	}
-	fork := chandy.Ctrl{Kind: chandy.ForkMsg, From: 42, To: -7}
-	token := chandy.Ctrl{Kind: chandy.TokenMsg, From: 0, To: 1}
+	fork := []chandy.Ctrl{{Kind: chandy.ForkMsg, From: 42, To: -7}}
+	token := []chandy.Ctrl{{Kind: chandy.TokenMsg, From: 0, To: 1}}
+	// One critical section's traffic to one worker: a yielded fork, the
+	// hungry yielder's re-request, and a request from another philosopher.
+	ctrlFrame := []chandy.Ctrl{
+		{Kind: chandy.ForkMsg, From: 5, To: 130},
+		{Kind: chandy.TokenMsg, From: 5, To: 130},
+		{Kind: chandy.TokenMsg, From: 9, To: 200},
+	}
 	flush := cluster.FlushMarker{Seq: 12345}
 	ack := cluster.AckMsg{Seq: 12345}
 	credit := cluster.CreditGrant{Bytes: 4096}
@@ -167,6 +174,12 @@ func goldenCases(t testing.TB) []goldenCase {
 			name:   "ctrl_token",
 			frame:  encodeFrame(t, c64, token, cluster.Frame{From: 0, To: 1, Declared: 64}),
 			verify: verifyPayload(c64, token),
+		},
+		{
+			name: "ctrl_frame",
+			frame: encodeFrame(t, c64, ctrlFrame,
+				cluster.Frame{From: 2, To: 3, Declared: cluster.CtrlFrameBytes(len(ctrlFrame))}),
+			verify: verifyPayload(c64, ctrlFrame),
 		},
 		{
 			name:   "flush",

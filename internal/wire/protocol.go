@@ -36,10 +36,10 @@ type Job struct {
 	Workers        int32  // worker-process count
 	PartsPerWorker int32
 	MaxSupersteps  int32
-	Seed           uint64  // partitioner seed (and generator seed)
-	Source         int32   // SSSP source
-	Eps            float64 // PageRank tolerance
-	You            int32   // the recipient's worker ID
+	Seed           uint64   // partitioner seed (and generator seed)
+	Source         int32    // SSSP source
+	Eps            float64  // PageRank tolerance
+	You            int32    // the recipient's worker ID
 	Peers          []string // data-plane addresses indexed by worker ID
 	// MsgMemoryBudget bounds each worker process's buffered inbound
 	// message bytes (0 = unbounded); overflow spills to disk.

@@ -18,6 +18,16 @@
 //	  uvarint        Slot
 //	  ...            message bytes (MsgCodec)
 //
+// Control frame encoding ([]chandy.Ctrl, frame type FrameCtrl): a manager
+// sends each destination worker one frame per critical section, so the
+// frame is a list, never empty:
+//
+//	uvarint  entry count (>= 1)
+//	per entry:
+//	  u8             kind (TokenMsg or ForkMsg)
+//	  zigzag varint  From philosopher
+//	  zigzag varint  To philosopher
+//
 // Batches arrive already sender-combined (the Buffer folds messages with
 // the program's combiner before emitting), so the codec never re-combines;
 // it just keeps the combined form compact with varints.
@@ -244,10 +254,16 @@ func (c *Codec[M]) EncodePayload(payload any, dst []byte) (byte, []byte, error) 
 			dst = c.msg.Append(dst, e.Msg)
 		}
 		return cluster.FrameData, dst, nil
-	case chandy.Ctrl:
-		dst = append(dst, byte(p.Kind))
-		dst = cluster.AppendZigzag(dst, int64(p.From))
-		dst = cluster.AppendZigzag(dst, int64(p.To))
+	case []chandy.Ctrl:
+		if len(p) == 0 {
+			return 0, nil, fmt.Errorf("wire: empty control frame")
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(p)))
+		for _, c := range p {
+			dst = append(dst, byte(c.Kind))
+			dst = cluster.AppendZigzag(dst, int64(c.From))
+			dst = cluster.AppendZigzag(dst, int64(c.To))
+		}
 		return cluster.FrameCtrl, dst, nil
 	case cluster.FlushMarker:
 		return cluster.FrameFlush, binary.AppendUvarint(dst, p.Seq), nil
@@ -326,31 +342,44 @@ func (c *Codec[M]) DecodePayload(ftype byte, b []byte) (any, error) {
 		}
 		return batch, nil
 	case cluster.FrameCtrl:
-		if len(b) < 1 {
-			return nil, ErrTruncated
-		}
-		kind := chandy.CtrlKind(b[0])
-		if kind != chandy.TokenMsg && kind != chandy.ForkMsg {
-			return nil, fmt.Errorf("%w: bad ctrl kind %d", ErrCorrupt, b[0])
-		}
-		b = b[1:]
-		from, n := cluster.Zigzag(b)
+		count, n := binary.Uvarint(b)
 		if n <= 0 {
 			return nil, ErrTruncated
 		}
 		b = b[n:]
-		to, n := cluster.Zigzag(b)
-		if n <= 0 {
-			return nil, ErrTruncated
+		// Every entry takes at least 3 bytes: kind, from, to.
+		if count == 0 || count > uint64(len(b))/3 {
+			return nil, fmt.Errorf("%w: ctrl entry count %d for %d payload bytes", ErrCorrupt, count, len(b))
 		}
-		b = b[n:]
+		frame := make([]chandy.Ctrl, count)
+		for i := range frame {
+			if len(b) == 0 {
+				return nil, ErrTruncated
+			}
+			kind := chandy.CtrlKind(b[0])
+			if kind != chandy.TokenMsg && kind != chandy.ForkMsg {
+				return nil, fmt.Errorf("%w: bad ctrl kind %d", ErrCorrupt, b[0])
+			}
+			b = b[1:]
+			from, n := cluster.Zigzag(b)
+			if n <= 0 {
+				return nil, ErrTruncated
+			}
+			b = b[n:]
+			to, n := cluster.Zigzag(b)
+			if n <= 0 {
+				return nil, ErrTruncated
+			}
+			b = b[n:]
+			if from < math.MinInt32 || from > math.MaxInt32 || to < math.MinInt32 || to > math.MaxInt32 {
+				return nil, ErrCorrupt
+			}
+			frame[i] = chandy.Ctrl{Kind: kind, From: chandy.PhilID(from), To: chandy.PhilID(to)}
+		}
 		if len(b) != 0 {
-			return nil, fmt.Errorf("%w: trailing bytes after ctrl", ErrCorrupt)
+			return nil, fmt.Errorf("%w: trailing bytes after ctrl frame", ErrCorrupt)
 		}
-		if from < math.MinInt32 || from > math.MaxInt32 || to < math.MinInt32 || to > math.MaxInt32 {
-			return nil, ErrCorrupt
-		}
-		return chandy.Ctrl{Kind: kind, From: chandy.PhilID(from), To: chandy.PhilID(to)}, nil
+		return frame, nil
 	case cluster.FrameFlush:
 		seq, n := binary.Uvarint(b)
 		if n <= 0 || n != len(b) {

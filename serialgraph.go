@@ -199,34 +199,6 @@ func (t Transport) String() string {
 	}
 }
 
-// Scheduler selects how each worker orders its partitions within a
-// superstep.
-type Scheduler uint8
-
-const (
-	// StaticScheduler (default) executes partitions in a fixed order from a
-	// shared queue, blocking on each partition's lock acquisition.
-	StaticScheduler Scheduler = iota
-	// OverlapScheduler overlaps synchronization with computation: under
-	// PartitionLocking it prefetches forks for boundary partitions while
-	// threads compute elsewhere, fills lock-wait windows with p-internal
-	// partitions, and balances skewed partitions across threads by work
-	// stealing. Results are identical to StaticScheduler — only wall time
-	// changes. Not compatible with Model == BAP.
-	OverlapScheduler
-)
-
-func (s Scheduler) String() string {
-	switch s {
-	case StaticScheduler:
-		return "static"
-	case OverlapScheduler:
-		return "overlap"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", uint8(s))
-	}
-}
-
 // Options configures a run. The zero value is a single-worker asynchronous
 // run without serializability.
 type Options struct {
@@ -246,10 +218,6 @@ type Options struct {
 	// (default) or real TCP loopback sockets (Run only; the GAS engine
 	// is in-process).
 	Transport Transport
-	// Scheduler selects the per-worker partition scheduler: static order
-	// (default) or the overlap scheduler with fork prefetching and work
-	// stealing (Run only; incompatible with Model == BAP).
-	Scheduler Scheduler
 	// NetworkLatency is the simulated one-way propagation delay.
 	NetworkLatency time.Duration
 	// NetworkBandwidth is per-link bytes/second (0 = infinite).
@@ -346,15 +314,6 @@ func (o Options) engineConfig() (engine.Config, error) {
 	default:
 		return engine.Config{}, fmt.Errorf("serialgraph: unknown transport %v", o.Transport)
 	}
-	var sched engine.SchedulerKind
-	switch o.Scheduler {
-	case StaticScheduler:
-		sched = engine.SchedStatic
-	case OverlapScheduler:
-		sched = engine.SchedOverlap
-	default:
-		return engine.Config{}, fmt.Errorf("serialgraph: unknown scheduler %v", o.Scheduler)
-	}
 	cfg := engine.Config{
 		Workers:             o.Workers,
 		PartitionsPerWorker: o.PartitionsPerWorker,
@@ -362,7 +321,6 @@ func (o Options) engineConfig() (engine.Config, error) {
 		Mode:                mode,
 		Sync:                sync,
 		Transport:           transport,
-		Scheduler:           sched,
 		Latency:             o.latency(),
 		BufferCap:           o.BufferCap,
 		MaxSupersteps:       o.MaxSupersteps,
