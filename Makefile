@@ -71,7 +71,7 @@ flow:
 	$(GO) test -race -count=1 ./internal/msgstore/ -run 'Spill'
 	$(GO) test -race -count=1 ./internal/engine/ -run 'TestBudget' -v
 
-# Locality-aware partitioning gate: the streaming partitioner and
+# Locality-aware partitioning gate: the LDG streaming partitioner and
 # relabeling unit suites under the race detector, the partitioner
 # equivalence matrix (every mode × technique × partitioner cell bitwise
 # against the hash baseline), the distributed rebuild conformance cell,
@@ -84,8 +84,8 @@ partition:
 	$(GO) test -count=1 ./internal/bench/ -run TestPartitionQuality -v
 
 # Streaming-partitioner torture row (nightly): the pinned sweep rerun with
-# every case forced onto LDG or Fennel placement (split by a seed bit), so
-# all serializability and recovery oracles run against locality-aware maps.
+# every case forced onto LDG placement, so all serializability and
+# recovery oracles run against locality-aware maps.
 torture-partition:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.streampart -timeout=15m

@@ -117,7 +117,7 @@ func main() {
 			header(out, "Bounded memory: credit flow + spill tier, BSP PageRank on UK")
 			bench.Print(out, keep(bench.FlowOverhead(cfg)))
 		case "partition":
-			header(out, "Locality: streaming partitioners (hash vs LDG vs Fennel) across techniques")
+			header(out, "Locality: streaming partitioners (hash vs LDG) across techniques")
 			printPartition(out, keep(bench.PartitionQuality(cfg)))
 		default:
 			log.Fatalf("unknown experiment %q", name)

@@ -108,23 +108,28 @@ func TestGraphrunMultiProcess(t *testing.T) {
 	// matrix test documents both), so those runs are bounded and the
 	// exact bounded state compared; SSSP converges on its own.
 	cases := []struct {
+		name          string
 		alg           string
 		maxSupersteps int // 0 = default
 		extra         []string
+		// rejected names a flag the coordinator does not read: it must
+		// exit non-zero naming it, before accepting any worker.
+		rejected string
 	}{
-		{alg: "sssp", extra: []string{"-source", "0"}},
-		{alg: "pagerank", maxSupersteps: 50, extra: []string{"-eps", "0.01"}},
-		{alg: "coloring", maxSupersteps: 30},
+		{name: "sssp", alg: "sssp", extra: []string{"-source", "0"}},
+		{name: "pagerank", alg: "pagerank", maxSupersteps: 50, extra: []string{"-eps", "0.01"}},
+		{name: "coloring", alg: "coloring", maxSupersteps: 30},
+		{name: "rejects-technique", alg: "sssp", extra: []string{"-technique", "dual-token"}, rejected: "-technique"},
 	}
 	for _, tc := range cases {
 		tc := tc
-		t.Run(tc.alg, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
 			outPath := filepath.Join(dir, tc.alg+".txt")
 			args := []string{
-				"-listen", "127.0.0.1:0", "-workers-remote", fmt.Sprint(workers),
+				"-listen", "127.0.0.1:0", "-workers", fmt.Sprint(workers),
 				"-alg", tc.alg, "-graph", graphPath, "-seed", fmt.Sprint(seed),
 				"-o", outPath,
 			}
@@ -132,6 +137,16 @@ func TestGraphrunMultiProcess(t *testing.T) {
 				args = append(args, "-max-supersteps", fmt.Sprint(tc.maxSupersteps))
 			}
 			args = append(args, tc.extra...)
+			if tc.rejected != "" {
+				out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
+				if err == nil {
+					t.Fatalf("coordinator accepted %s; output:\n%s", tc.rejected, out)
+				}
+				if !strings.Contains(string(out), tc.rejected) {
+					t.Fatalf("coordinator failed without naming %s:\n%s", tc.rejected, out)
+				}
+				return
+			}
 			_, addr, coordDone := startCoordinator(t, ctx, bin, args)
 
 			workerDone := make(chan error, workers)

@@ -3,7 +3,7 @@ package main
 // Multi-process mode: `graphrun -listen` runs the coordinator,
 // `graphrun -join` runs one worker process. A real run over TCP loopback:
 //
-//	graphrun -listen 127.0.0.1:7400 -workers-remote 2 \
+//	graphrun -listen 127.0.0.1:7400 -workers 2 \
 //	    -alg sssp -graph g.bin -o dist.txt &
 //	graphrun -join 127.0.0.1:7400 &
 //	graphrun -join 127.0.0.1:7400
@@ -12,6 +12,8 @@ package main
 // listening on ..."), so -listen 127.0.0.1:0 works for scripting. Every
 // process must see the same -graph file (or the same -family/-n/-seed),
 // from which it deterministically rebuilds the graph and partition map.
+// The driver runs BSP with no synchronization technique; graphrun rejects
+// the flags it would otherwise ignore.
 
 import (
 	"fmt"
@@ -19,10 +21,11 @@ import (
 	"os"
 	"time"
 
-	"serialgraph/internal/dist"
-	"serialgraph/internal/graph"
-
+	"serialgraph"
 	"serialgraph/internal/algorithms"
+	"serialgraph/internal/dist"
+	"serialgraph/internal/engine"
+	"serialgraph/internal/graph"
 )
 
 // runWorkerProcess joins the coordinator at addr and runs to completion.
@@ -36,95 +39,64 @@ func runWorkerProcess(addr string) error {
 	return nil
 }
 
-type coordinatorConfig struct {
-	listen        string
-	alg           string
-	graphPath     string
-	family        string
-	familyN       int
-	workers       int
-	ppw           int
-	maxSupersteps int
-	seed          uint64
-	source        int
-	eps           float64
-	out           string
-	msgMem        int64
-	partitioner   string
-}
-
 // runCoordinatorProcess drives one distributed run and prints the same
-// summary a single-process run would.
-func runCoordinatorProcess(cfg coordinatorConfig) error {
-	if cfg.workers < 1 {
-		return fmt.Errorf("coordinator mode needs -workers-remote >= 1")
-	}
-	if cfg.graphPath == "" && cfg.family == "" {
+// summary a single-process run would. job names the program and graph;
+// the run options come from opt, the Options a single-process run with
+// the same flags would use, with the engine's defaults filled in.
+func runCoordinatorProcess(listen string, opt serialgraph.Options, job dist.Job, out string) error {
+	if job.GraphPath == "" && job.Family == "" {
 		return fmt.Errorf("coordinator mode needs -graph or -family/-n (workers rebuild the graph themselves)")
 	}
-	if cfg.ppw == 0 {
-		cfg.ppw = cfg.workers
-	}
-	if cfg.maxSupersteps == 0 {
-		cfg.maxSupersteps = 100000
-	}
-	job := dist.Job{
-		Alg:             cfg.alg,
-		GraphPath:       cfg.graphPath,
-		Family:          cfg.family,
-		N:               int32(cfg.familyN),
-		Workers:         int32(cfg.workers),
-		PartsPerWorker:  int32(cfg.ppw),
-		MaxSupersteps:   int32(cfg.maxSupersteps),
-		Seed:            cfg.seed,
-		Source:          int32(cfg.source),
-		Eps:             cfg.eps,
-		MsgMemoryBudget: cfg.msgMem,
-		Partitioner:     cfg.partitioner,
-	}
-	switch cfg.alg {
-	case "coloring", "wcc":
-		// Same symmetrization the single-process path applies.
-		job.Undirected = true
-	}
+	cfg := engine.Config{
+		Workers: opt.Workers, PartitionsPerWorker: opt.PartitionsPerWorker,
+		MaxSupersteps: opt.MaxSupersteps,
+	}.WithDefaults()
+	job.Workers = int32(cfg.Workers)
+	job.PartsPerWorker = int32(cfg.PartitionsPerWorker)
+	job.MaxSupersteps = int32(cfg.MaxSupersteps)
+	job.Seed = opt.Seed
+	job.MsgMemoryBudget = opt.MsgMemoryBudget
+	job.Partitioner = opt.Partitioner
+	job.Undirected = undirected(job.Alg)
 
 	g, err := dist.BuildGraph(job)
 	if err != nil {
 		return err
 	}
 
-	ln, err := net.Listen("tcp", cfg.listen)
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
 	defer ln.Close()
-	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), cfg.workers)
-	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions\n",
-		g.NumVertices(), g.NumEdges(), cfg.alg, cfg.workers, cfg.ppw)
+	fmt.Printf("coordinator: listening on %s for %d workers\n", ln.Addr(), job.Workers)
+	fmt.Printf("graph: %d vertices, %d edges; alg %s, %d workers x %d partitions, %s, %s, %s partitioning\n",
+		g.NumVertices(), g.NumEdges(), job.Alg, job.Workers, job.PartsPerWorker,
+		serialgraph.BSP, serialgraph.NoSerializability, opt.Partitioner)
 
 	start := time.Now()
 	var res dist.Result
 	var values []float64
 	var intValues []int32
-	switch cfg.alg {
+	switch job.Alg {
 	case "sssp":
-		values, res, err = dist.Coordinate(ln, job, algorithms.SSSP(graph.VertexID(cfg.source)), g.NumVertices())
+		values, res, err = dist.Coordinate(ln, job, algorithms.SSSP(graph.VertexID(job.Source)), g.NumVertices())
 	case "pagerank":
-		values, res, err = dist.Coordinate(ln, job, algorithms.PageRank(cfg.eps), g.NumVertices())
+		values, res, err = dist.Coordinate(ln, job, algorithms.PageRank(job.Eps), g.NumVertices())
 	case "pagerank-agg":
-		values, res, err = dist.Coordinate(ln, job, algorithms.PageRankAggregated(cfg.eps), g.NumVertices())
+		values, res, err = dist.Coordinate(ln, job, algorithms.PageRankAggregated(job.Eps), g.NumVertices())
 	case "coloring":
 		intValues, res, err = dist.Coordinate(ln, job, algorithms.Coloring(), g.NumVertices())
 	case "wcc":
 		intValues, res, err = dist.Coordinate(ln, job, algorithms.WCC(), g.NumVertices())
 	default:
-		return fmt.Errorf("algorithm %q is not available in multi-process mode (want sssp, pagerank, pagerank-agg, coloring, or wcc)", cfg.alg)
+		return fmt.Errorf("algorithm %q is not available in multi-process mode (want sssp, pagerank, pagerank-agg, coloring, or wcc)", job.Alg)
 	}
 	if err != nil {
 		return err
 	}
 
-	if cfg.alg == "coloring" {
+	if job.Alg == "coloring" {
 		if cerr := algorithms.ValidateColoring(g, intValues); cerr != nil {
 			fmt.Printf("coloring INVALID: %v\n", cerr)
 		} else {
@@ -136,8 +108,8 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 	fmt.Printf("network: %d data batches / %d KB data over TCP; wire bytes=%d\n",
 		res.DataBatches, res.DataBytes/1024, res.WireBytes)
 
-	if cfg.out != "" {
-		f, err := os.Create(cfg.out)
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
 			return err
 		}
@@ -151,7 +123,7 @@ func runCoordinatorProcess(cfg coordinatorConfig) error {
 				fmt.Fprintln(f, v)
 			}
 		}
-		fmt.Printf("wrote values to %s\n", cfg.out)
+		fmt.Printf("wrote values to %s\n", out)
 	}
 	return nil
 }

@@ -29,9 +29,13 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"serialgraph"
+	"serialgraph/internal/dist"
+	"serialgraph/internal/partition"
 )
 
 func main() {
@@ -39,21 +43,20 @@ func main() {
 	graphPath := flag.String("graph", "", "graph file (.bin/.gob or edge list)")
 	dataset := flag.String("dataset", "", "generate a dataset analog instead: OR AR TW UK")
 	scale := flag.Float64("scale", 1.0, "dataset scale")
-	workers := flag.Int("workers", 8, "simulated cluster size")
+	workers := flag.Int("workers", 8, "simulated cluster size (with -listen: worker processes to wait for)")
 	ppw := flag.Int("ppw", 0, "partitions per worker (default = workers)")
-	techniqueName := flag.String("technique", "partition-locking", "none | single-token | dual-token | partition-locking | vertex-locking")
-	modelName := flag.String("model", "async", "bsp | async")
+	technique := enumVar("technique", serialgraph.PartitionLocking, "synchronization technique", techniques)
+	mdl := enumVar("model", serialgraph.Async, "computation model", models)
 	eps := flag.Float64("eps", 0.01, "PageRank convergence threshold")
 	source := flag.Int("source", 0, "SSSP source vertex")
 	latency := flag.Duration("latency", 50*time.Microsecond, "simulated network latency")
-	transportName := flag.String("transport", "inproc", "wire backend for single-process runs: inproc | tcp")
-	listenAddr := flag.String("listen", "", "coordinator mode: accept worker processes on this address (e.g. 127.0.0.1:0)")
+	transport := enumVar("transport", serialgraph.InProc, "wire backend for single-process runs", transports)
+	listenAddr := flag.String("listen", "", "coordinator mode: accept -workers worker processes on this address (e.g. 127.0.0.1:0)")
 	joinAddr := flag.String("join", "", "worker mode: join a coordinator at this address, run, exit")
-	workersRemote := flag.Int("workers-remote", 0, "coordinator mode: worker processes to wait for (with -listen)")
 	family := flag.String("family", "", "multi-process runs: generate this graph family instead of loading -graph: powerlaw | rmat | erdos | ring | grid | complete")
 	familyN := flag.Int("n", 0, "generated family size (with -family)")
 	seed := flag.Uint64("seed", 1, "partitioning (and -family generation) seed")
-	partitionerName := flag.String("partitioner", "hash", "vertex placement: hash | range | ldg | fennel")
+	partitionerName := flag.String("partitioner", partition.KindHash, "vertex placement: "+strings.Join(partition.Kinds(), " | "))
 	relabel := flag.Bool("relabel", false, "degree-ordered vertex relabeling before partitioning (hub clustering; outputs stay in original IDs)")
 	maxSupersteps := flag.Int("max-supersteps", 0, "bound non-converging runs (0 = library default)")
 	msgMem := flag.Int64("msg-mem", 0, "message-plane memory budget in bytes: sizes the credit windows and, under BSP, caps buffered inbound messages by spilling overflow to disk in arrival order (0 = unbounded)")
@@ -61,7 +64,7 @@ func main() {
 	out := flag.String("o", "", "write final vertex values to this file (text, one per line)")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint after every k-th superstep (0 = off)")
 	checkpointDir := flag.String("checkpoint-dir", "", "checkpoint directory (required with -checkpoint-every)")
-	recoveryName := flag.String("recovery", "full", "crash recovery mode: full (whole-cluster rollback) | confined (crashed partitions only)")
+	recovery := enumVar("recovery", serialgraph.RecoverFull, "crash recovery mode (full: whole-cluster rollback; confined: crashed partitions only)", recoveries)
 	watchdogTimeout := flag.Duration("watchdog-timeout", 0, "liveness watchdog: declare a superstep stalled and recover if its barrier is not reached within this deadline (0 = off)")
 	crashAt := flag.Int("crash-at", -1, "inject a worker crash at this superstep (-1 = off)")
 	crashWorker := flag.Int("crash-worker", 0, "worker to crash (with -crash-at or -crash-after-msgs)")
@@ -78,28 +81,42 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a post-run heap profile to this file")
 	flag.Parse()
 
+	// Every run mode reads its options from this one value.
+	opt := serialgraph.Options{
+		Workers: *workers, PartitionsPerWorker: *ppw, Model: *mdl,
+		Technique: *technique, Transport: *transport,
+		NetworkLatency: *latency,
+		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
+		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,
+		Recovery: *recovery, WatchdogTimeout: *watchdogTimeout,
+		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem,
+	}
+
 	// Multi-process modes short-circuit the single-process path entirely:
 	// a worker joins, computes, and exits; a coordinator drives the run
 	// and reports like a normal graphrun invocation.
 	if *joinAddr != "" {
+		rejectUnread("worker mode (-join takes its job from the coordinator)",
+			func(name string) bool { return name == "join" })
 		if err := runWorkerProcess(*joinAddr); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if *listenAddr != "" {
-		cfg := coordinatorConfig{
-			listen: *listenAddr, alg: *alg, graphPath: *graphPath,
-			family: *family, familyN: *familyN, workers: *workersRemote,
-			ppw: *ppw, maxSupersteps: *maxSupersteps, seed: *seed,
-			source: *source, eps: *eps, out: *out, msgMem: *msgMem,
-			partitioner: *partitionerName,
+		rejectUnread("coordinator mode (-listen runs BSP with no technique over TCP)",
+			func(name string) bool { return slices.Contains(coordinatorFlags, name) })
+		job := dist.Job{
+			Alg: *alg, GraphPath: *graphPath, Family: *family, N: int32(*familyN),
+			Source: int32(*source), Eps: *eps,
 		}
-		if err := runCoordinatorProcess(cfg); err != nil {
+		if err := runCoordinatorProcess(*listenAddr, opt, job, *out); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
+	rejectUnread("single-process mode (-family/-n are for -listen)",
+		func(name string) bool { return name != "family" && name != "n" })
 
 	if *pprofAddr != "" {
 		go func() {
@@ -133,56 +150,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var technique serialgraph.Technique
-	switch *techniqueName {
-	case "none":
-		technique = serialgraph.NoSerializability
-	case "single-token":
-		technique = serialgraph.SingleToken
-	case "dual-token":
-		technique = serialgraph.DualToken
-	case "partition-locking":
-		technique = serialgraph.PartitionLocking
-	case "vertex-locking":
-		technique = serialgraph.VertexLocking
-	default:
-		log.Fatalf("unknown technique %q", *techniqueName)
-	}
-	mdl := serialgraph.Async
-	if *modelName == "bsp" {
-		mdl = serialgraph.BSP
-	}
-
-	var recovery serialgraph.RecoveryMode
-	switch *recoveryName {
-	case "full":
-		recovery = serialgraph.RecoverFull
-	case "confined":
-		recovery = serialgraph.RecoverConfined
-	default:
-		log.Fatalf("unknown recovery mode %q (want full or confined)", *recoveryName)
-	}
-
-	var transport serialgraph.Transport
-	switch *transportName {
-	case "inproc":
-		transport = serialgraph.InProc
-	case "tcp":
-		transport = serialgraph.TCPLoopback
-	default:
-		log.Fatalf("unknown transport %q (want inproc or tcp)", *transportName)
-	}
-
-	opt := serialgraph.Options{
-		Workers: *workers, PartitionsPerWorker: *ppw, Model: mdl,
-		Technique: technique, Transport: transport,
-		NetworkLatency: *latency,
-		Seed:           *seed, MaxSupersteps: *maxSupersteps, Partitioner: *partitionerName,
-		CheckpointEvery: *checkpointEvery, CheckpointDir: *checkpointDir,
-		Recovery: recovery, WatchdogTimeout: *watchdogTimeout,
-		DetailedStats: *traceOut != "", MsgMemoryBudget: *msgMem,
-	}
-
 	// Assemble the fault plan, if any fault flag is set.
 	plan := serialgraph.FaultPlan{
 		DropRate: *dropRate, DuplicateRate: *dupRate,
@@ -198,15 +165,13 @@ func main() {
 	}
 	faulty := len(plan.Crashes) > 0 || plan.DropRate > 0 || plan.DuplicateRate > 0 || plan.StragglerRate > 0
 	if faulty {
-		if technique == serialgraph.VertexLocking {
+		if opt.Technique == serialgraph.VertexLocking {
 			log.Fatal("fault injection is not supported on the GAS engine (-technique vertex-locking)")
 		}
 		opt.Fault = &plan
 	}
 
-	// Undirected algorithms want symmetrized inputs.
-	switch *alg {
-	case "coloring", "wcc", "mis", "lpa", "kcore", "triangles":
+	if undirected(*alg) {
 		g = serialgraph.Undirected(g)
 	}
 
@@ -220,7 +185,7 @@ func main() {
 		src = rel.NewID(src)
 	}
 	fmt.Printf("graph: %d vertices, %d edges; %d workers, %s, %s, %s partitioning\n",
-		g.NumVertices(), g.NumEdges(), *workers, mdl.String(), technique, *partitionerName)
+		g.NumVertices(), g.NumEdges(), opt.Workers, opt.Model, opt.Technique, opt.Partitioner)
 
 	var res serialgraph.Result
 	var violations []serialgraph.Violation
@@ -304,7 +269,7 @@ func main() {
 			err = fmt.Errorf("unknown algorithm %q", *alg)
 		}
 	}
-	if technique == serialgraph.VertexLocking {
+	if opt.Technique == serialgraph.VertexLocking {
 		runGAS()
 	} else {
 		runPregel()
@@ -369,7 +334,7 @@ func main() {
 	}
 
 	if *metricsOut != "" {
-		if technique == serialgraph.VertexLocking {
+		if opt.Technique == serialgraph.VertexLocking {
 			log.Println("note: the GAS engine is not metrics-instrumented; the snapshot will be zeros")
 		}
 		buf, err := json.MarshalIndent(res.Metrics, "", "  ")
@@ -415,6 +380,16 @@ func writeTrace(path string, res serialgraph.Result) error {
 			st.ComputeNs, st.LocalDeliveryNs, st.RemoteFlushNs, st.BarrierWaitNs)
 	}
 	return f.Close()
+}
+
+// undirected reports whether alg reads neighborhoods and so runs on the
+// symmetrized graph, in every run mode.
+func undirected(alg string) bool {
+	switch alg {
+	case "coloring", "wcc", "mis", "lpa", "kcore", "triangles":
+		return true
+	}
+	return false
 }
 
 func countDistinct(vals []int32) int {

@@ -112,9 +112,8 @@ func Giraphx(cfg Config) []Row {
 	prog := giraphx.TokenColoring(g, pm)
 	_, res, _, err := engine.Run(g, prog, engine.Config{
 		Workers: workers, PartitionsPerWorker: 1, Mode: engine.BSP,
-		Partitioner:   func(*graph.Graph, int, int) *partition.Map { return pm },
-		Latency:       cfg.latencyModel(),
-		MaxSupersteps: 100000,
+		Partitioner: func(*graph.Graph, int, int) *partition.Map { return pm },
+		Latency:     cfg.latencyModel(),
 	})
 	if err != nil {
 		panic(err)
@@ -129,8 +128,7 @@ func Giraphx(cfg Config) []Row {
 	cfg.logf("giraphx lock ...")
 	_, res, _, err = engine.Run(g, giraphx.LockColoring(g), engine.Config{
 		Workers: workers, Mode: engine.BSP, Seed: 1,
-		Latency:       cfg.latencyModel(),
-		MaxSupersteps: 100000,
+		Latency: cfg.latencyModel(),
 	})
 	if err != nil {
 		panic(err)
@@ -240,19 +238,16 @@ func AblationPartitioner(cfg Config) []Row {
 		{"ldg", partition.NewLDG},
 	} {
 		cfg.logf("ablation partitioner %s ...", pt.name)
-		pm := pt.mk(g, workers*workers, workers)
-		cut := partition.Cut(g, pm)
 		_, res, _, err := engine.Run(g, algorithms.PageRank(prThreshold("OR")), engine.Config{
 			Workers: workers, Mode: engine.Async, Sync: engine.PartitionLock,
-			Partitioner: func(*graph.Graph, int, int) *partition.Map { return pm },
-			Latency:     cfg.latencyModel(), Seed: 1,
+			Partitioner: pt.mk, Latency: cfg.latencyModel(), Seed: 1,
 		})
 		if err != nil {
 			panic(err)
 		}
 		rows = append(rows, Row{Experiment: "ablation-partitioner", Algorithm: "pagerank",
 			Dataset: "OR", Workers: workers,
-			Technique: fmt.Sprintf("%s (cut %.0f%%)", pt.name, 100*cut.CutFraction),
+			Technique: fmt.Sprintf("%s (cut %.0f%%)", pt.name, 100*res.Partition.CutFraction),
 			Time:      res.ComputeTime, Supersteps: res.Supersteps, Executions: res.Executions,
 			DataMsgs: res.Net.DataMessages, DataBytes: res.Net.DataBytes,
 			CtrlMsgs: res.Net.ControlMessages, Forks: res.ForkSends, Converged: res.Converged})

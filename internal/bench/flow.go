@@ -36,7 +36,7 @@ func FlowOverhead(cfg Config) []Row {
 		ecfg := engine.Config{
 			Workers: workers, Mode: engine.BSP, Sync: engine.SyncNone,
 			Latency: cfg.latencyModel(), Seed: 1, DetailedStats: cfg.Trace,
-			MaxSupersteps: 100000, MsgMemoryBudget: budget,
+			MsgMemoryBudget: budget,
 		}
 		var bestPR []float64
 		var best Row

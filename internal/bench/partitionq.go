@@ -4,13 +4,13 @@ package bench
 // placement buy every synchronization technique? It builds a community
 // graph whose structure a streaming partitioner can exploit (hash
 // placement cannot), then runs the fig1-style technique spectrum under
-// hash, LDG, and Fennel placement at the same partition count and
-// records each run's partition-quality report alongside the usual
-// counters. The acceptance bar from the issue is enforced here as
-// panics, not rows: the streaming partitioners must cut the
-// boundary-vertex fraction and the cross-partition message bytes by at
-// least 25% versus hash, stay inside the (1+eps)n/P balance bound, and
-// leave the deterministic BSP PageRank answer bitwise unchanged.
+// hash and LDG placement at the same partition count and records each
+// run's partition-quality report alongside the usual counters. The
+// acceptance bar is enforced here as panics, not rows: the streaming
+// partitioner must cut the boundary-vertex fraction and the
+// cross-partition message bytes by at least 25% versus hash, stay inside
+// the (1+eps)n/P balance bound, and leave the deterministic BSP PageRank
+// answer bitwise unchanged.
 // TestPartitionQualityAcceptance runs this gate in CI; `benchtab -exp
 // partition` records it into BENCH_NNNN.json.
 
@@ -71,7 +71,8 @@ func communityGraph(comms, size int, seed int64) *graph.Graph {
 func PartitionQuality(cfg Config) []Row {
 	cfg = cfg.withDefaults()
 	workers := cfg.Workers[0]
-	p := workers * workers // engine default: PartitionsPerWorker = Workers
+	ppw := workers // Giraph's layout: as many partitions per worker as workers
+	p := workers * ppw
 	comms := int(float64(p) * cfg.Scale)
 	if comms < workers {
 		comms = workers
@@ -84,7 +85,7 @@ func PartitionQuality(cfg Config) []Row {
 
 	engCfg := func(kind string, mode engine.Mode, sync engine.Sync) engine.Config {
 		c := engine.Config{
-			Workers: workers, Mode: mode, Sync: sync,
+			Workers: workers, PartitionsPerWorker: ppw, Mode: mode, Sync: sync,
 			Latency: cfg.latencyModel(), Seed: 1, DetailedStats: cfg.Trace,
 			MaxSupersteps: 2000,
 		}
@@ -118,7 +119,7 @@ func PartitionQuality(cfg Config) []Row {
 	var hashQ partition.Quality
 	var hashPR Row
 	var hashVals []float64
-	for _, kind := range []string{partition.KindHash, partition.KindLDG, partition.KindFennel} {
+	for _, kind := range []string{partition.KindHash, partition.KindLDG} {
 		// BSP PageRank: deterministic answer and superstep count, so this
 		// cell carries both the bitwise-equivalence gate and the
 		// cross-partition traffic comparison. Best wall time of partReps.

@@ -159,22 +159,9 @@ func BuildGraph(job Job) (*graph.Graph, error) {
 		return nil, fmt.Errorf("dist: job has neither GraphPath nor Family")
 	}
 	if job.Undirected {
-		g = symmetrize(g)
+		g = graph.Symmetrize(g)
 	}
 	return g, nil
-}
-
-// symmetrize mirrors serialgraph.Undirected exactly (same builder path),
-// so a distributed coloring run sees the identical graph an in-process
-// `graphrun -alg coloring` run does.
-func symmetrize(g *graph.Graph) *graph.Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.BuildUndirected()
 }
 
 // sortedAggs flattens an aggregator map into sorted parallel slices so

@@ -183,11 +183,11 @@ func TestDistMatchesEnginePageRank(t *testing.T) {
 }
 
 // A named streaming partitioner must survive the wire: every worker
-// process rebuilds the identical LDG/Fennel map from the Job spec, and
-// the run still matches the in-process engine bitwise.
+// process rebuilds the identical LDG map from the Job spec, and the run
+// still matches the in-process engine bitwise.
 func TestDistStreamingPartitioners(t *testing.T) {
 	requireLoopback(t)
-	for _, kind := range []string{"ldg", "fennel"} {
+	for _, kind := range []string{"ldg"} {
 		t.Run(kind, func(t *testing.T) {
 			job := baseJob()
 			job.Alg = "sssp"

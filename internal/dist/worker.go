@@ -11,17 +11,13 @@ import (
 
 	"serialgraph/internal/algorithms"
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/engine"
 	"serialgraph/internal/graph"
 	"serialgraph/internal/model"
 	"serialgraph/internal/msgstore"
 	"serialgraph/internal/partition"
 	"serialgraph/internal/wire"
 )
-
-// bufferCap matches the engine's default Config.BufferCap so distributed
-// and in-process runs batch identically (same batch counts and simulated
-// bytes in the ledgers the conformance tests reconcile).
-const bufferCap = 512
 
 // Work joins a coordinator as one worker process: dial, introduce
 // ourselves, receive the job, run it, ship our values back. It blocks
@@ -291,7 +287,10 @@ func runWorker[V, M any](ctrl *frameConn, ln net.Listener, job Job, prog model.P
 	w.stores[0] = msgstore.New[M](g, w.owned, prog.Semantics, prog.Combine)
 	w.stores[1] = msgstore.New[M](g, w.owned, prog.Semantics, prog.Combine)
 
-	w.buf = msgstore.NewBuffer(nw, bufferCap, prog.MsgBytes,
+	// The engine's default batch threshold, so distributed and in-process
+	// runs batch identically (same batch counts and simulated bytes in the
+	// ledgers the conformance tests reconcile).
+	w.buf = msgstore.NewBuffer(nw, engine.DefaultBufferCap, prog.MsgBytes,
 		cluster.BatchHeaderBytes, cluster.EntryHeaderBytes, w.sendBatch)
 	if prog.Semantics == model.Combine && prog.Combine != nil {
 		w.buf.SetCombiner(prog.Combine)

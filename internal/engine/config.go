@@ -175,7 +175,7 @@ type Config struct {
 	// over either.
 	Transport TransportKind
 	// BufferCap is the message buffer cache threshold in entries; default
-	// 512.
+	// DefaultBufferCap.
 	BufferCap int
 	// MaxSupersteps aborts runs that do not converge (e.g. BSP graph
 	// coloring, Figure 2); default 100000.
@@ -252,7 +252,15 @@ type Config struct {
 	MsgMemoryBudget int64
 }
 
-func (c Config) withDefaults() Config {
+// DefaultBufferCap is the default BufferCap. The GAS engine and the
+// multi-process driver batch with it too, so their batch counts and byte
+// ledgers match an in-process run's.
+const DefaultBufferCap = 512
+
+// WithDefaults returns c with every unset field at its default. Run applies
+// it; callers that ship a configuration elsewhere (the multi-process
+// coordinator) apply it to read the same defaults.
+func (c Config) WithDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -266,7 +274,7 @@ func (c Config) withDefaults() Config {
 		c.ThreadsPerWorker = 1
 	}
 	if c.BufferCap <= 0 {
-		c.BufferCap = 512
+		c.BufferCap = DefaultBufferCap
 	}
 	if c.MaxSupersteps <= 0 {
 		c.MaxSupersteps = 100000
@@ -278,6 +286,9 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
+	if c.Mode > BAP {
+		return fmt.Errorf("engine: unknown mode %v", c.Mode)
+	}
 	if c.Mode == BSP && c.Sync != SyncNone {
 		return fmt.Errorf("engine: %v requires the Async mode: synchronous models cannot update local replicas eagerly (§4.1)", c.Sync)
 	}

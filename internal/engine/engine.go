@@ -156,7 +156,7 @@ func newTransport[V, M any](cfg Config, prog model.Program[V, M], reg *metrics.R
 // When cfg.TrackHistory is set, the returned recorder holds the
 // transaction log for serializability checking.
 func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, Result, *history.Recorder, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, Result{}, nil, err
 	}

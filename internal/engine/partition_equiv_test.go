@@ -1,8 +1,8 @@
 package engine
 
 // Cross-partitioner equivalence matrix: every synchronization technique ×
-// {SSSP, PageRank, coloring} × {hash, range, ldg, fennel}, with hash as
-// the baseline each other partitioner is compared against. A partitioner
+// {SSSP, PageRank, coloring} × {hash, range, ldg}, with hash as the
+// baseline each other partitioner is compared against. A partitioner
 // decides *where* vertices execute, never *what* they compute, so:
 //
 //   - BSP is schedule-deterministic given Overwrite/combining semantics:

@@ -35,16 +35,17 @@ type Config struct {
 	Serializable bool
 	// Latency is the simulated network model.
 	Latency cluster.LatencyModel
-	// BufferCap bounds the replica-update batch size. Default 512; actual
-	// batches stay tiny because every fork handoff forces a flush, which
-	// is precisely the paper's criticism of vertex-based locking (§5.2).
+	// BufferCap bounds the replica-update batch size. Default
+	// engine.DefaultBufferCap; actual batches stay tiny because every fork
+	// handoff forces a flush, which is precisely the paper's criticism of
+	// vertex-based locking (§5.2).
 	BufferCap int
 	// Seed feeds hash placement of vertices onto workers.
 	Seed uint64
-	// Partitioner names the placement partitioner ("" or "hash", "range",
-	// "ldg", "fennel"; see partition.Kinds). GAS maps one partition per
-	// worker (§5.1), so the kind only controls which worker owns each
-	// vertex — locality-aware kinds shrink replica-update traffic.
+	// Partitioner names the placement partitioner ("" or one of
+	// partition.Kinds). GAS maps one partition per worker (§5.1), so the
+	// kind only controls which worker owns each vertex — locality-aware
+	// kinds shrink replica-update traffic.
 	Partitioner string
 	// MaxExecutions aborts runs that do not quiesce (non-serializable
 	// coloring can livelock, §2.3). Default 200 × |V|.
@@ -61,7 +62,7 @@ func (c Config) withDefaults(n int) Config {
 		c.FibersPerWorker = 64
 	}
 	if c.BufferCap <= 0 {
-		c.BufferCap = 512
+		c.BufferCap = engine.DefaultBufferCap
 	}
 	if c.MaxExecutions <= 0 {
 		c.MaxExecutions = 200 * int64(n)

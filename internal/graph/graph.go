@@ -225,6 +225,20 @@ func (b *Builder) BuildUndirected() *Graph {
 	return build(b.n, sym, b.weighted, true)
 }
 
+// Symmetrize returns the undirected version of g: every edge in both
+// directions, pairs deduplicated, self-loops and weights dropped. It is
+// the one symmetrization every entry point applies (library, CLIs,
+// worker processes, torture harness), so they all see the same graph.
+func Symmetrize(g *Graph) *Graph {
+	b := NewBuilder(g.NumVertices())
+	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
+		for _, v := range g.OutNeighbors(u) {
+			b.AddEdge(u, v)
+		}
+	}
+	return b.BuildUndirected()
+}
+
 func build(n int32, edges []Edge, weighted, undirected bool) *Graph {
 	g := &Graph{n: n, undirected: undirected}
 	m := len(edges)

@@ -14,15 +14,14 @@ import (
 
 // Partitioner kind names accepted by New.
 const (
-	KindHash   = "hash"
-	KindRange  = "range"
-	KindLDG    = "ldg"
-	KindFennel = "fennel"
+	KindHash  = "hash"
+	KindRange = "range"
+	KindLDG   = "ldg"
 )
 
 // Kinds lists the partitioner names New accepts, in a stable order.
 func Kinds() []string {
-	return []string{KindHash, KindRange, KindLDG, KindFennel}
+	return []string{KindHash, KindRange, KindLDG}
 }
 
 // ValidKind reports whether name is a known partitioner kind. The empty
@@ -51,8 +50,6 @@ func New(kind string, g *graph.Graph, p, w int, seed uint64) (*Map, error) {
 		return NewRange(g, p, w), nil
 	case KindLDG:
 		return NewLDGOpts(g, p, w, StreamOptions{Seed: seed}), nil
-	case KindFennel:
-		return NewFennel(g, p, w, seed), nil
 	}
 	return nil, fmt.Errorf("partition: unknown partitioner %q (want one of %v)", kind, Kinds())
 }

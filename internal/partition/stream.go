@@ -1,16 +1,15 @@
 package partition
 
-// stream.go implements the locality-aware streaming partitioners: LDG
-// (linear deterministic greedy, Stanton & Kliot, KDD 2012) and Fennel
-// (Tsourakakis et al., WSDM 2014). Both place vertices one at a time in
-// ID order, scoring each candidate partition by how many already-placed
-// neighbors it holds; they differ only in the balance penalty. Unlike
-// hash partitioning — the paper's baseline, which maximizes boundary
-// fractions — a streaming pass co-locates communities, directly
-// shrinking the p-boundary/m-boundary populations every synchronization
-// technique pays for (§5.3).
+// stream.go implements the locality-aware streaming partitioner LDG
+// (linear deterministic greedy, Stanton & Kliot, KDD 2012). It places
+// vertices one at a time in ID order, scoring each candidate partition by
+// how many already-placed neighbors it holds, discounted by how full the
+// partition is. Unlike hash partitioning — the paper's baseline, which
+// maximizes boundary fractions — a streaming pass co-locates communities,
+// directly shrinking the p-boundary/m-boundary populations every
+// synchronization technique pays for (§5.3).
 //
-// Guarantees shared by both partitioners:
+// Guarantees:
 //
 //   - Hard balance bound: no partition ever exceeds
 //     ceil((1+Epsilon) * n / p) vertices. Full partitions are simply
@@ -79,63 +78,14 @@ func (o StreamOptions) Capacity(n, p int) int {
 //
 // so neighbors attract and fullness repels, with the capacity bound
 // enforced as a hard constraint on top of the soft penalty.
+//
+// The initial placement pass in ID order is followed by o.RefinePasses
+// refinement sweeps.
 func NewLDGOpts(g *graph.Graph, p, w int, o StreamOptions) *Map {
 	validate(g, p, w)
-	cap_ := o.Capacity(g.NumVertices(), p)
-	gain := func(score float64, size int) float64 {
-		return score * (1 - float64(size)/float64(cap_))
-	}
-	return stream(g, p, w, o, cap_, gain)
-}
-
-// NewLDG partitions with the linear deterministic greedy streaming
-// heuristic of Stanton & Kliot under default options (seed 0, 10%
-// balance slack, no refinement). It produces fewer cut edges than
-// hashing and serves as the "better partitioning" point in the ablation
-// experiments.
-func NewLDG(g *graph.Graph, p, w int) *Map {
-	return NewLDGOpts(g, p, w, StreamOptions{})
-}
-
-// NewFennelOpts partitions with the Fennel streaming objective under
-// explicit options. The marginal gain of placing v into partition q is
-//
-//	|placed neighbors of v in q| - alpha * gamma * size(q)^(gamma-1)
-//
-// with gamma = 1.5 and alpha = sqrt(p) * m / n^1.5 (the interpolation
-// point Tsourakakis et al. recommend), plus the same hard capacity
-// bound as LDG so the balance guarantee is unconditional.
-func NewFennelOpts(g *graph.Graph, p, w int, o StreamOptions) *Map {
-	validate(g, p, w)
 	n := g.NumVertices()
-	cap_ := o.Capacity(n, p)
-	const gamma = 1.5
-	alpha := math.Sqrt(float64(p)) * float64(g.NumEdges()) / math.Pow(float64(n), gamma)
-	if alpha == 0 {
-		// Edgeless graphs: any positive penalty keeps the stream
-		// spreading vertices round-robin-ish instead of piling on q0.
-		alpha = 1
-	}
-	gain := func(score float64, size int) float64 {
-		return score - alpha*gamma*math.Sqrt(float64(size))
-	}
-	return stream(g, p, w, o, cap_, gain)
-}
+	capacity := o.Capacity(n, p)
 
-// NewFennel partitions with the Fennel streaming objective: seeded
-// tie-breaking, 10% balance slack, one refinement pass (Fennel gains
-// more from restreaming than LDG because its additive penalty makes
-// early placements myopic).
-func NewFennel(g *graph.Graph, p, w int, seed uint64) *Map {
-	return NewFennelOpts(g, p, w, StreamOptions{Seed: seed, RefinePasses: 1})
-}
-
-// stream runs the shared greedy loop: an initial placement pass in ID
-// order, then o.RefinePasses refinement sweeps. gain maps (neighbor
-// score, current size) to the placement objective; capacity is the hard
-// per-partition bound.
-func stream(g *graph.Graph, p, w int, o StreamOptions, capacity int, gain func(score float64, size int) float64) *Map {
-	n := g.NumVertices()
 	vp := make([]ID, n)
 	for v := range vp {
 		vp[v] = -1
@@ -165,7 +115,7 @@ func stream(g *graph.Graph, p, w int, o StreamOptions, capacity int, gain func(s
 			if size[i] >= capacity {
 				continue // hard balance bound
 			}
-			s := gain(score[i], size[i])
+			s := score[i] * (1 - float64(size[i])/float64(capacity))
 			tie := mix64(o.Seed ^ uint64(v)<<20 ^ uint64(i))
 			better := s > bestGain
 			if !better && s == bestGain {
@@ -202,4 +152,13 @@ func stream(g *graph.Graph, p, w int, o StreamOptions, capacity int, gain func(s
 		}
 	}
 	return assemble(g, p, w, vp)
+}
+
+// NewLDG partitions with the linear deterministic greedy streaming
+// heuristic of Stanton & Kliot under default options (seed 0, 10%
+// balance slack, no refinement). It produces fewer cut edges than
+// hashing and serves as the "better partitioning" point in the ablation
+// experiments.
+func NewLDG(g *graph.Graph, p, w int) *Map {
+	return NewLDGOpts(g, p, w, StreamOptions{})
 }

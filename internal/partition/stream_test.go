@@ -72,22 +72,18 @@ func TestStreamBalanceBound(t *testing.T) {
 				{Seed: 5, Epsilon: 0.02},
 			} {
 				bound := o.Capacity(n, p)
-				for kind, m := range map[string]*Map{
-					"ldg":    NewLDGOpts(g, p, 1, o),
-					"fennel": NewFennelOpts(g, p, 1, o),
-				} {
-					s := Cut(g, m)
-					if s.MaxLoad > bound {
-						t.Errorf("%s/%s p=%d opts=%+v: MaxLoad %d > bound %d",
-							name, kind, p, o, s.MaxLoad, bound)
-					}
-					total := 0
-					for q := 0; q < p; q++ {
-						total += len(m.Vertices(ID(q)))
-					}
-					if total != n {
-						t.Errorf("%s/%s p=%d: lost vertices (%d of %d)", name, kind, p, total, n)
-					}
+				m := NewLDGOpts(g, p, 1, o)
+				s := Cut(g, m)
+				if s.MaxLoad > bound {
+					t.Errorf("%s p=%d opts=%+v: MaxLoad %d > bound %d",
+						name, p, o, s.MaxLoad, bound)
+				}
+				total := 0
+				for q := 0; q < p; q++ {
+					total += len(m.Vertices(ID(q)))
+				}
+				if total != n {
+					t.Errorf("%s p=%d: lost vertices (%d of %d)", name, p, total, n)
 				}
 			}
 		}
@@ -100,41 +96,26 @@ func TestStreamBalanceBound(t *testing.T) {
 func TestStreamSeedDeterminism(t *testing.T) {
 	g := star(400)
 	n := g.NumVertices()
-	for kind, mk := range map[string]func(seed uint64) *Map{
-		"ldg":    func(s uint64) *Map { return NewLDGOpts(g, 8, 2, StreamOptions{Seed: s, RefinePasses: 1}) },
-		"fennel": func(s uint64) *Map { return NewFennel(g, 8, 2, s) },
-	} {
-		if !sameAssignment(mk(7), mk(7), n) {
-			t.Errorf("%s: same seed produced different placements", kind)
-		}
-		diff := false
-		for s := uint64(1); s < 6 && !diff; s++ {
-			diff = !sameAssignment(mk(0), mk(s), n)
-		}
-		if !diff {
-			t.Errorf("%s: five distinct seeds all produced the same tie-breaks on a star", kind)
-		}
+	mk := func(s uint64) *Map { return NewLDGOpts(g, 8, 2, StreamOptions{Seed: s, RefinePasses: 1}) }
+	if !sameAssignment(mk(7), mk(7), n) {
+		t.Error("same seed produced different placements")
+	}
+	diff := false
+	for s := uint64(1); s < 6 && !diff; s++ {
+		diff = !sameAssignment(mk(0), mk(s), n)
+	}
+	if !diff {
+		t.Error("five distinct seeds all produced the same tie-breaks on a star")
 	}
 }
 
-// TestFennelBeatsHashOnCommunityGraph mirrors the LDG test: community
-// structure must translate into a much smaller cut than hashing.
-func TestFennelBeatsHashOnCommunityGraph(t *testing.T) {
-	g := community(8, 25)
-	fennel := Cut(g, NewFennel(g, 8, 2, 1))
-	hash := Cut(g, NewHash(g, 8, 2, 1))
-	if fennel.CutEdges >= hash.CutEdges/2 {
-		t.Errorf("fennel cut %d not well below hash cut %d", fennel.CutEdges, hash.CutEdges)
-	}
-}
-
-// TestRefinementNeverHurtsMuch: refinement keeps the cut at or near the
-// single-pass result on a community graph (it exists to help Fennel's
-// myopic early placements; it must never wreck a good placement).
-func TestRefinementReducesFennelCut(t *testing.T) {
+// TestRefinementReducesLDGCut: refinement keeps the cut at or below the
+// single-pass result on a community graph (it must never wreck a good
+// placement).
+func TestRefinementReducesLDGCut(t *testing.T) {
 	g := community(12, 30)
-	once := Cut(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2}))
-	refined := Cut(g, NewFennelOpts(g, 12, 3, StreamOptions{Seed: 2, RefinePasses: 2}))
+	once := Cut(g, NewLDGOpts(g, 12, 3, StreamOptions{Seed: 2}))
+	refined := Cut(g, NewLDGOpts(g, 12, 3, StreamOptions{Seed: 2, RefinePasses: 2}))
 	if refined.CutEdges > once.CutEdges {
 		t.Errorf("refinement increased the cut: %d -> %d", once.CutEdges, refined.CutEdges)
 	}
@@ -145,34 +126,26 @@ func TestRefinementReducesFennelCut(t *testing.T) {
 // panic in validate, same as every other constructor — covered below.)
 func TestStreamEdgeCases(t *testing.T) {
 	single := ring(30)
-	for kind, m := range map[string]*Map{
-		"ldg":    NewLDG(single, 1, 1),
-		"fennel": NewFennel(single, 1, 1, 0),
-	} {
-		for v := 0; v < 30; v++ {
-			if m.PartitionOf(graph.VertexID(v)) != 0 {
-				t.Fatalf("%s: single-partition map strayed", kind)
-			}
+	m := NewLDG(single, 1, 1)
+	for v := 0; v < 30; v++ {
+		if m.PartitionOf(graph.VertexID(v)) != 0 {
+			t.Fatal("single-partition map strayed")
 		}
 	}
 
 	two := graph.NewBuilder(2).Build() // no edges at all
-	for kind, m := range map[string]*Map{
-		"ldg":    NewLDG(two, 4, 2),
-		"fennel": NewFennel(two, 4, 2, 0),
-	} {
-		seen := map[ID]bool{}
-		for v := 0; v < 2; v++ {
-			seen[m.PartitionOf(graph.VertexID(v))] = true
-		}
-		if len(seen) != 2 {
-			t.Errorf("%s: edgeless pair piled onto one partition: %v", kind, seen)
-		}
+	m = NewLDG(two, 4, 2)
+	seen := map[ID]bool{}
+	for v := 0; v < 2; v++ {
+		seen[m.PartitionOf(graph.VertexID(v))] = true
+	}
+	if len(seen) != 2 {
+		t.Errorf("edgeless pair piled onto one partition: %v", seen)
 	}
 
 	hub := star(100)
 	tight := StreamOptions{Epsilon: 0.01}
-	m := NewLDGOpts(hub, 10, 2, tight)
+	m = NewLDGOpts(hub, 10, 2, tight)
 	if s := Cut(hub, m); s.MaxLoad > tight.Capacity(100, 10) {
 		t.Errorf("star overloads under tight epsilon: %d", s.MaxLoad)
 	}
@@ -180,19 +153,12 @@ func TestStreamEdgeCases(t *testing.T) {
 
 func TestStreamEmptyGraphPanics(t *testing.T) {
 	g := graph.NewBuilder(0).Build()
-	for kind, mk := range map[string]func(){
-		"ldg":    func() { NewLDG(g, 2, 1) },
-		"fennel": func() { NewFennel(g, 2, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: empty graph did not panic", kind)
-				}
-			}()
-			mk()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("empty graph did not panic")
+		}
+	}()
+	NewLDG(g, 2, 1)
 }
 
 // TestKindRegistry: New dispatches by name, treats "" as hash
@@ -299,9 +265,9 @@ func TestQualityCensusProperty(t *testing.T) {
 // iteration or time in the stream loop.
 func TestStreamDeterminismDeep(t *testing.T) {
 	g := community(6, 20)
-	a := NewFennelOpts(g, 9, 3, StreamOptions{Seed: 42, RefinePasses: 2})
-	b := NewFennelOpts(g, 9, 3, StreamOptions{Seed: 42, RefinePasses: 2})
+	a := NewLDGOpts(g, 9, 3, StreamOptions{Seed: 42, RefinePasses: 2})
+	b := NewLDGOpts(g, 9, 3, StreamOptions{Seed: 42, RefinePasses: 2})
 	if !reflect.DeepEqual(a, b) {
-		t.Error("fennel construction is not deterministic")
+		t.Error("ldg construction is not deterministic")
 	}
 }

@@ -9,7 +9,10 @@ package torture
 // failures can be nondeterministic (thread scheduling is not part of the
 // seed), "still fails" means "failed at least once in a few attempts".
 
-import "serialgraph/internal/engine"
+import (
+	"serialgraph/internal/engine"
+	"serialgraph/internal/partition"
+)
 
 // shrinkRetries is how many times a candidate is re-run before the
 // shrinker concludes the transform lost the failure.
@@ -63,10 +66,10 @@ var transforms = []transform{
 		return sc, true
 	}},
 	{"hash-partitioner", func(sc Scenario) (Scenario, bool) {
-		if sc.Partitioner == "hash" {
+		if sc.Partitioner == partition.KindHash {
 			return sc, false
 		}
-		sc.Partitioner = "hash"
+		sc.Partitioner = partition.KindHash
 		return sc, true
 	}},
 	{"halve-n", func(sc Scenario) (Scenario, bool) {

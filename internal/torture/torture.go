@@ -64,7 +64,7 @@ type Scenario struct {
 	Workers        int
 	PartsPerWorker int
 	Threads        int
-	Partitioner    string // "hash", "range", "ldg", "fennel"
+	Partitioner    string // a partition.Kinds name
 	Mode           engine.Mode
 	Sync           engine.Sync
 	// Transport selects the wire backend (in-process simulator or real
@@ -144,7 +144,7 @@ func Sample(seed uint64) Scenario {
 	sc.Workers = 1 + r.Intn(4)
 	sc.PartsPerWorker = 1 + r.Intn(3)
 	sc.Threads = 1 + r.Intn(4)
-	parts := []string{"hash", "hash", "range", "ldg"}
+	parts := []string{partition.KindHash, partition.KindHash, partition.KindRange, partition.KindLDG}
 	sc.Partitioner = parts[r.Intn(len(parts))]
 
 	switch r.Intn(3) {
@@ -230,13 +230,6 @@ func Sample(seed uint64) Scenario {
 	if r.Intn(4) == 0 {
 		sc.MsgBudget = int64(256 + r.Intn(4096))
 	}
-	// Fennel joins the partitioner pool as a trailing draw (after every
-	// dimension older seeds decoded), overriding a quarter of cases the
-	// way the transport draw does — so pre-fennel seeds still decode
-	// their shape/algorithm/fault plan identically and stay replayable.
-	if r.Intn(4) == 0 {
-		sc.Partitioner = "fennel"
-	}
 	return sc
 }
 
@@ -271,7 +264,7 @@ func SampleBroken(seed uint64) Scenario {
 		Workers:        2 + r.Intn(3),
 		PartsPerWorker: 1 + r.Intn(2),
 		Threads:        2 + r.Intn(3),
-		Partitioner:    "hash",
+		Partitioner:    partition.KindHash,
 		Mode:           engine.Async,
 		Sync:           engine.PartitionLock,
 		BreakProtocol:  true,
@@ -285,13 +278,7 @@ func buildGraph(sc Scenario) *graph.Graph {
 	g := generate.Family(sc.Shape, sc.N, int64(sc.Seed|1))
 	switch sc.Algorithm {
 	case "wcc", "coloring", "recolor":
-		b := graph.NewBuilder(g.NumVertices())
-		for u := graph.VertexID(0); int(u) < g.NumVertices(); u++ {
-			for _, v := range g.OutNeighbors(u) {
-				b.AddEdge(u, v)
-			}
-		}
-		g = b.BuildUndirected()
+		g = graph.Symmetrize(g)
 	}
 	return g
 }
@@ -329,14 +316,10 @@ func buildConfig(sc Scenario, ckptDir string) engine.Config {
 		cfg.Sync = engine.SyncNone
 	}
 	switch sc.Partitioner {
-	case "range":
+	case partition.KindRange:
 		cfg.Partitioner = partition.NewRange
-	case "ldg":
+	case partition.KindLDG:
 		cfg.Partitioner = partition.NewLDG
-	case "fennel":
-		cfg.Partitioner = func(g *graph.Graph, p, w int) *partition.Map {
-			return partition.NewFennel(g, p, w, sc.Seed)
-		}
 	}
 	if sc.Fault != nil {
 		cfg.Fault = fault.NewInjector(*sc.Fault)
@@ -503,7 +486,7 @@ func checkPartition(sc Scenario, cfg engine.Config, g *graph.Graph, res engine.R
 	if got, want := m.Get(metrics.BoundaryVertices), int64(n-q.PInternal); got != want {
 		errs = append(errs, fmt.Errorf("partition: boundary_vertices counter = %d, report says %d", got, want))
 	}
-	if sc.Partitioner == "ldg" || sc.Partitioner == "fennel" {
+	if sc.Partitioner == partition.KindLDG {
 		p := cfg.Workers * cfg.PartitionsPerWorker
 		if cap_ := (partition.StreamOptions{}).Capacity(n, p); q.MaxLoad > cap_ {
 			errs = append(errs, fmt.Errorf("partition: %s max load %d exceeds capacity %d (n=%d p=%d)",

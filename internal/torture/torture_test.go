@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"serialgraph/internal/engine"
+	"serialgraph/internal/partition"
 )
 
 // Replay and sizing knobs. A failing sweep prints the exact command to
@@ -28,21 +29,15 @@ var (
 	flagTinyBudget = flag.Bool("torture.tinybudget", false,
 		"force a tiny message-plane memory budget on every case (nightly bounded-memory row; replay failures with the same flag plus -torture.seed)")
 	flagStreamPart = flag.Bool("torture.streampart", false,
-		"force a streaming partitioner (ldg or fennel, by seed parity) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
+		"force the streaming partitioner (ldg) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
 )
 
-// applyStreamPart pins the scenario's partitioner to ldg or fennel when
-// -torture.streampart is set, split by a seed bit so the sweep covers
-// both. (Bit 1, not bit 0: CaseSeed forces every sweep seed odd.) Like
-// applyTinyBudget, the override is flag-derived: replaying a failure
-// needs the same flag.
+// applyStreamPart pins the scenario's partitioner to ldg when
+// -torture.streampart is set. Like applyTinyBudget, the override is
+// flag-derived: replaying a failure needs the same flag.
 func applyStreamPart(sc Scenario) Scenario {
 	if *flagStreamPart {
-		if sc.Seed&2 == 0 {
-			sc.Partitioner = "ldg"
-		} else {
-			sc.Partitioner = "fennel"
-		}
+		sc.Partitioner = partition.KindLDG
 	}
 	return sc
 }

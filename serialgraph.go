@@ -110,32 +110,20 @@ const (
 )
 
 // Model selects the computation model for Run.
-type Model uint8
+type Model = engine.Mode
 
+// Computation models for Options.Model.
 const (
 	// BSP delays messages to the next superstep (Pregel/Giraph).
-	BSP Model = iota
+	BSP = engine.BSP
 	// Async delivers messages within the same superstep (Giraph async).
 	// Serializability requires Async or BAP.
-	Async
+	Async = engine.Async
 	// BAP is the barrierless asynchronous parallel model (Giraph
 	// Unchained): per-worker logical supersteps with no global barriers.
 	// Compatible with NoSerializability and PartitionLocking.
-	BAP
+	BAP = engine.BAP
 )
-
-func (m Model) String() string {
-	switch m {
-	case BSP:
-		return "bsp"
-	case Async:
-		return "async"
-	case BAP:
-		return "bap"
-	default:
-		return fmt.Sprintf("Model(%d)", uint8(m))
-	}
-}
 
 // Technique selects the synchronization technique.
 type Technique uint8
@@ -176,41 +164,27 @@ func (t Technique) String() string {
 }
 
 // Transport selects the wire backend connecting the simulated workers.
-type Transport uint8
+type Transport = engine.TransportKind
 
+// Wire backends for Options.Transport.
 const (
 	// InProc is the in-process simulated transport (default): messages
 	// cross goroutine channels with modeled latency and byte accounting.
-	InProc Transport = iota
+	InProc = engine.TransportInProc
 	// TCPLoopback moves every inter-worker message over real loopback
 	// TCP sockets through the binary frame codec. Results are identical
 	// to InProc; Result.Net additionally reports true wire bytes.
-	TCPLoopback
+	TCPLoopback = engine.TransportTCP
 )
 
-func (t Transport) String() string {
-	switch t {
-	case InProc:
-		return "inproc"
-	case TCPLoopback:
-		return "tcp"
-	default:
-		return fmt.Sprintf("Transport(%d)", uint8(t))
-	}
-}
-
-// Options configures a run. The zero value is a single-worker asynchronous
+// Options configures a run. The zero value is a single-worker BSP
 // run without serializability.
 type Options struct {
 	// Workers is the simulated cluster size (default 1).
 	Workers int
 	// PartitionsPerWorker defaults to Workers, Giraph's default.
 	PartitionsPerWorker int
-	// ThreadsPerWorker is the compute pool per worker (default 4).
-	ThreadsPerWorker int
-	// FibersPerWorker applies to RunGAS only (default 64).
-	FibersPerWorker int
-	// Model selects BSP or Async (Run only; RunGAS is always async).
+	// Model selects BSP, Async or BAP (Run only; RunGAS is always async).
 	Model Model
 	// Technique selects the serializability technique.
 	Technique Technique
@@ -222,21 +196,17 @@ type Options struct {
 	NetworkLatency time.Duration
 	// NetworkBandwidth is per-link bytes/second (0 = infinite).
 	NetworkBandwidth float64
-	// BufferCap is the outgoing message batch threshold (default 512).
-	BufferCap int
-	// MaxSupersteps bounds non-converging runs (default 100000).
+	// MaxSupersteps bounds non-converging runs (0 = the engine default).
 	MaxSupersteps int
 	// Seed makes partitioning reproducible.
 	Seed uint64
 	// Partitioner names the vertex-placement strategy: "hash" (the
-	// paper's baseline, default), "range", "ldg" (linear deterministic
-	// greedy streaming), or "fennel". Locality-aware placement changes
-	// only where vertices run — results are unchanged — but it shrinks
-	// boundary fractions and with them token, lock, and network cost.
+	// paper's baseline, default), "range", or "ldg" (linear deterministic
+	// greedy streaming). Locality-aware placement changes only where
+	// vertices run — results are unchanged — but it shrinks boundary
+	// fractions and with them token, lock, and network cost.
 	// Result.Partition reports the achieved quality.
 	Partitioner string
-	// TrackHistory records transactions for CheckSerializability.
-	TrackHistory bool
 	// CheckpointEvery/CheckpointDir enable synchronous checkpoints;
 	// RestoreFrom resumes from one.
 	CheckpointEvery int
@@ -248,8 +218,6 @@ type Options struct {
 	// latest checkpoint (or to the initial state), and resumes within the
 	// same call; Result reports the recovery cost.
 	Fault *FaultPlan
-	// MaxRollbacks bounds in-run recovery attempts (default 16).
-	MaxRollbacks int
 	// Recovery selects full (default) or confined crash recovery.
 	// Confined recovery logs outgoing remote messages per superstep and,
 	// on a crash, restores and replays only the crashed workers'
@@ -294,42 +262,18 @@ func (o Options) engineConfig() (engine.Config, error) {
 	default:
 		return engine.Config{}, fmt.Errorf("serialgraph: unknown technique %v", o.Technique)
 	}
-	var mode engine.Mode
-	switch o.Model {
-	case BSP:
-		mode = engine.BSP
-	case Async:
-		mode = engine.Async
-	case BAP:
-		mode = engine.BAP
-	default:
-		return engine.Config{}, fmt.Errorf("serialgraph: unknown model %v", o.Model)
-	}
-	var transport engine.TransportKind
-	switch o.Transport {
-	case InProc:
-		transport = engine.TransportInProc
-	case TCPLoopback:
-		transport = engine.TransportTCP
-	default:
-		return engine.Config{}, fmt.Errorf("serialgraph: unknown transport %v", o.Transport)
-	}
 	cfg := engine.Config{
 		Workers:             o.Workers,
 		PartitionsPerWorker: o.PartitionsPerWorker,
-		ThreadsPerWorker:    o.ThreadsPerWorker,
-		Mode:                mode,
+		Mode:                o.Model,
 		Sync:                sync,
-		Transport:           transport,
+		Transport:           o.Transport,
 		Latency:             o.latency(),
-		BufferCap:           o.BufferCap,
 		MaxSupersteps:       o.MaxSupersteps,
 		Seed:                o.Seed,
-		TrackHistory:        o.TrackHistory,
 		CheckpointEvery:     o.CheckpointEvery,
 		CheckpointDir:       o.CheckpointDir,
 		RestoreFrom:         o.RestoreFrom,
-		MaxRollbacks:        o.MaxRollbacks,
 		Recovery:            o.Recovery,
 		WatchdogTimeout:     o.WatchdogTimeout,
 		DetailedStats:       o.DetailedStats,
@@ -369,11 +313,11 @@ func Run[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, erro
 // vertex execution as a transaction and checks conditions C1 and C2 and
 // one-copy serializability, returning any violations.
 func RunChecked[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, []Violation, error) {
-	opt.TrackHistory = true
 	cfg, err := opt.engineConfig()
 	if err != nil {
 		return nil, Result{}, nil, err
 	}
+	cfg.TrackHistory = true
 	vals, res, rec, err := engine.Run(g, prog, cfg)
 	if err != nil {
 		return nil, Result{}, nil, err
@@ -385,35 +329,32 @@ func RunChecked[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Resul
 // asynchronous engine. Technique must be VertexLocking (serializable) or
 // NoSerializability.
 func RunGAS[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Options) ([]V, Result, error) {
-	vals, res, _, err := runGAS(g, prog, opt)
+	vals, res, _, err := runGAS(g, prog, opt, false)
 	return vals, res, err
 }
 
 // RunGASChecked is RunGAS plus serializability verification.
 func RunGASChecked[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Options) ([]V, Result, []Violation, error) {
-	opt.TrackHistory = true
-	vals, res, rec, err := runGAS(g, prog, opt)
+	vals, res, rec, err := runGAS(g, prog, opt, true)
 	if err != nil {
 		return nil, Result{}, nil, err
 	}
 	return vals, res, history.CheckAll(rec.Txns(), g), nil
 }
 
-func runGAS[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Options) ([]V, Result, *history.Recorder, error) {
+func runGAS[V comparable, M any](g *Graph, prog GASProgram[V, M], opt Options, track bool) ([]V, Result, *history.Recorder, error) {
 	switch opt.Technique {
 	case VertexLocking, NoSerializability:
 	default:
 		return nil, Result{}, nil, fmt.Errorf("serialgraph: the GAS engine supports VertexLocking or NoSerializability, not %v", opt.Technique)
 	}
 	return gas.Run(g, prog, gas.Config{
-		Workers:         opt.Workers,
-		FibersPerWorker: opt.FibersPerWorker,
-		Serializable:    opt.Technique == VertexLocking,
-		Latency:         opt.latency(),
-		BufferCap:       opt.BufferCap,
-		Seed:            opt.Seed,
-		Partitioner:     opt.Partitioner,
-		TrackHistory:    opt.TrackHistory,
+		Workers:      opt.Workers,
+		Serializable: opt.Technique == VertexLocking,
+		Latency:      opt.latency(),
+		Seed:         opt.Seed,
+		Partitioner:  opt.Partitioner,
+		TrackHistory: track,
 	})
 }
 
@@ -553,15 +494,7 @@ func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
 
 // Undirected returns the symmetrized version of g (for coloring and WCC).
-func Undirected(g *Graph) *Graph {
-	b := graph.NewBuilder(g.NumVertices())
-	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
-		for _, v := range g.OutNeighbors(u) {
-			b.AddEdge(u, v)
-		}
-	}
-	return b.BuildUndirected()
-}
+func Undirected(g *Graph) *Graph { return graph.Symmetrize(g) }
 
 // GeneratePowerLaw builds a seeded synthetic power-law graph with the given
 // vertex count, average degree, and exponent.

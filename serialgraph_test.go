@@ -131,6 +131,13 @@ func TestPublicBAPModel(t *testing.T) {
 	if _, _, err := Run(g, SSSP(0), Options{Workers: 2, Model: BAP, Technique: DualToken}); err == nil {
 		t.Error("BAP accepted DualToken")
 	}
+	// Out-of-range enum values are rejected, not run as some default.
+	if _, _, err := Run(g, SSSP(0), Options{Model: BAP + 1}); err == nil {
+		t.Error("Run accepted an unknown model")
+	}
+	if _, _, err := Run(g, SSSP(0), Options{Transport: TCPLoopback + 1}); err == nil {
+		t.Error("Run accepted an unknown transport")
+	}
 }
 
 func TestPublicRunGASChecked(t *testing.T) {
@@ -305,10 +312,12 @@ func TestPublicDegreeRelabel(t *testing.T) {
 		}
 	}
 	// The quality helper reports on any valid kind and rejects unknowns.
-	if _, err := PartitionReport(g, "fennel", 8, 4, 1); err != nil {
-		t.Fatal(err)
+	for _, kind := range PartitionerKinds() {
+		if _, err := PartitionReport(g, kind, 8, 4, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := PartitionReport(g, "metis", 8, 4, 1); err == nil {
+	if _, err := PartitionReport(g, "fennel", 8, 4, 1); err == nil {
 		t.Error("PartitionReport accepted an unknown kind")
 	}
 }
