@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt-check test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition fuzz perfbench bench-json bench-smoke bench-micro bench-diff ci clean
+.PHONY: build vet fmt-check test test-short test-race race tcp flow partition fuzz-wire chaos torture torture-pinned torture-budget torture-partition torture-token fuzz perfbench bench-json bench-smoke bench-micro bench-diff ci clean
 
 build:
 	$(GO) build ./...
@@ -96,6 +96,15 @@ torture-partition:
 torture-budget:
 	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
 		-torture.n=200 -torture.root=0xdecaf -torture.tinybudget -timeout=15m
+
+# Token-passing torture row (nightly): the pinned sweep rerun with every
+# case forced onto Async with single- or dual-layer token passing
+# (alternating by seed; mutate cases run coloring), fault plans still
+# sampled, so the flush-on-handoff rule and the token-allowed vertex lists
+# face every serializability and recovery oracle.
+torture-token:
+	$(GO) test ./internal/torture/ -run 'TestTorture$$' -count=1 \
+		-torture.n=200 -torture.root=0xdecaf -torture.token -timeout=15m
 
 # 30-second fuzz smoke over the frame decoder: truncated/corrupt/oversized
 # frames must error, never panic or over-allocate; plus a shorter pass over

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // Simulated wire sizes (bytes). Data batches additionally count their
@@ -30,35 +31,29 @@ type AckMsg struct{ Seq uint64 }
 // FIFO, an acked flush marker guarantees every earlier data message to that
 // worker has been delivered and applied.
 type Endpoint struct {
-	t  Transport
-	id WorkerID
+	t     Transport
+	id    WorkerID
+	dirty []atomic.Bool // dirty[w]: data sent to worker w since the last flush to it
 
 	onData func(from WorkerID, payload any)
 	onCtrl func(from WorkerID, payload any)
 
 	flow *Flow // optional credit windows; nil-safe
 
+	nextSeq atomic.Uint64
 	mu      sync.Mutex
-	nextSeq uint64
 	acks    map[uint64]chan struct{}
 	abortCh chan struct{} // closed by Abort; replaced by ResetAbort
-	aborted bool
 }
 
 // NewEndpoint registers worker id on t. onData receives Data payloads,
 // onCtrl receives Control payloads; both run on transport delivery
 // goroutines and must not block indefinitely.
 func NewEndpoint(t Transport, id WorkerID, onData, onCtrl func(from WorkerID, payload any)) *Endpoint {
-	e := &Endpoint{t: t, id: id, onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
+	e := &Endpoint{t: t, id: id, dirty: make([]atomic.Bool, t.NumWorkers()), onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
 	t.RegisterHandler(id, e.handle)
 	return e
 }
-
-// ID returns the worker ID of this endpoint.
-func (e *Endpoint) ID() WorkerID { return e.id }
-
-// Transport returns the underlying transport.
-func (e *Endpoint) Transport() Transport { return e.t }
 
 func (e *Endpoint) handle(m Message) {
 	switch p := m.Payload.(type) {
@@ -98,6 +93,11 @@ func (e *Endpoint) SetFlow(f *Flow) { e.flow = f }
 func (e *Endpoint) SendData(to WorkerID, payload any, bytes int) {
 	e.flow.Acquire(e.id, to, bytes)
 	e.t.Send(Message{From: e.id, To: to, Kind: Data, Bytes: bytes, Payload: payload})
+	// Set after the send, so a flush that clears it queues its marker behind
+	// this batch; loaded first, so paths that never flush write it once.
+	if d := &e.dirty[to]; !d.Load() {
+		d.Store(true)
+	}
 }
 
 // CtrlFrameBytes is the simulated size of a control frame of n entries: a
@@ -110,24 +110,22 @@ func (e *Endpoint) SendCtrl(to WorkerID, payload any, bytes int) {
 	e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: bytes, Payload: payload})
 }
 
-// FlushWait sends a flush marker to each worker in targets and blocks until
-// every one has acknowledged it, guaranteeing (by lane FIFO order) that all
-// data previously sent to those workers has been delivered. It returns the
-// number of markers sent (targets minus self), so callers can account the
-// control traffic they generated.
+// FlushWait sends a flush marker to each worker in targets sent data since
+// its last flush and blocks until every one has acknowledged it, ensuring
+// (by lane FIFO order) that all data previously sent to targets has been
+// delivered. It returns the number of markers sent, so callers can account
+// the control traffic they generated.
 func (e *Endpoint) FlushWait(targets []WorkerID) int {
 	e.mu.Lock()
 	abortCh := e.abortCh
 	e.mu.Unlock()
 	chans := make([]chan struct{}, 0, len(targets))
 	for _, to := range targets {
-		if to == e.id {
+		if to == e.id || !e.dirty[to].Swap(false) {
 			continue
 		}
+		seq, ch := e.nextSeq.Add(1), make(chan struct{})
 		e.mu.Lock()
-		e.nextSeq++
-		seq := e.nextSeq
-		ch := make(chan struct{})
 		e.acks[seq] = ch
 		e.mu.Unlock()
 		e.t.Send(Message{From: e.id, To: to, Kind: Control, Bytes: FlushMarkerBytes, Payload: FlushMarker{seq}})
@@ -153,23 +151,23 @@ func (e *Endpoint) FlushWait(targets []WorkerID) int {
 func (e *Endpoint) Abort() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.aborted {
-		e.aborted = true
+	select {
+	case <-e.abortCh:
+	default:
 		close(e.abortCh)
 	}
 }
 
 // ResetAbort re-arms an aborted endpoint and drops any ack registrations
 // left over from aborted flushes. Recovery calls it at the barrier (no
-// flush can be in flight) before resuming.
+// flush can be in flight) before resuming. It marks every lane dirty: an
+// aborted flush may have cleared a flag whose marker was never acked.
 func (e *Endpoint) ResetAbort() {
+	for i := range e.dirty {
+		e.dirty[i].Store(true)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.aborted {
-		e.aborted = false
-		e.abortCh = make(chan struct{})
-	}
-	for seq := range e.acks {
-		delete(e.acks, seq)
-	}
+	e.abortCh = make(chan struct{})
+	clear(e.acks)
 }

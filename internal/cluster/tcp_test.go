@@ -122,10 +122,16 @@ func TestTCPEndpointFlushWait(t *testing.T) {
 		eps[0].SendData(1, batch(0, 1), 10)
 		eps[0].SendData(2, batch(0, 1), 10)
 	}
-	eps[0].FlushWait([]cluster.WorkerID{0, 1, 2})
+	if n := eps[0].FlushWait([]cluster.WorkerID{0, 1, 2}); n != 2 {
+		t.Errorf("FlushWait sent %d markers, want 2", n)
+	}
 	if received[1].Load() != 5 || received[2].Load() != 5 {
 		t.Errorf("flush acked before data applied: %d/%d",
 			received[1].Load(), received[2].Load())
+	}
+	cluster.CheckFlushDirtyLanes(t, tr, eps[0], func(to cluster.WorkerID) { eps[0].SendData(to, batch(0, 1), 10) })
+	if received[1].Load() != 6 {
+		t.Errorf("peer 1 applied %d batches after the dirty-lane flush, want 6", received[1].Load())
 	}
 }
 

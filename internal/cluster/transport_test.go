@@ -359,10 +359,48 @@ func TestEndpointFlushWait(t *testing.T) {
 		eps[0].SendData(1, 1, 10)
 		eps[0].SendData(2, 1, 10)
 	}
-	eps[0].FlushWait([]WorkerID{0, 1, 2}) // self in targets is skipped
+	if n := eps[0].FlushWait([]WorkerID{0, 1, 2}); n != 2 { // self in targets is skipped
+		t.Errorf("FlushWait sent %d markers, want 2", n)
+	}
 	if received[1].Load() != 5 || received[2].Load() != 5 {
 		t.Errorf("flush acked before data applied: %d/%d",
 			received[1].Load(), received[2].Load())
+	}
+	CheckFlushDirtyLanes(t, tr, eps[0], func(to WorkerID) { eps[0].SendData(to, 1, 10) })
+	if received[1].Load() != 6 {
+		t.Errorf("peer 1 applied %d batches after the dirty-lane flush, want 6", received[1].Load())
+	}
+}
+
+// CheckFlushDirtyLanes checks that FlushWait marks only lanes that carried
+// data since their last acked flush. ep is worker 0 of a three-worker
+// transport tr whose lanes to workers 1 and 2 were just flushed; send sends
+// one data batch to a peer. Exported for the TCP backend's external test
+// package.
+func CheckFlushDirtyLanes(t *testing.T, tr Transport, ep *Endpoint, send func(to WorkerID)) {
+	t.Helper()
+	all := []WorkerID{0, 1, 2}
+	before := tr.Stats().Load()
+	send(1)
+	if n := ep.FlushWait(all); n != 1 {
+		t.Errorf("FlushWait after data to peer 1 only sent %d markers, want 1", n)
+	}
+	if d := tr.Stats().Load().Sub(before); d.ControlMessages != 1 || d.AckMessages != 1 {
+		t.Errorf("dirty-lane flush: %d markers and %d acks on the wire, want 1 and 1", d.ControlMessages, d.AckMessages)
+	}
+	before = tr.Stats().Load()
+	if n := ep.FlushWait(all); n != 0 {
+		t.Errorf("FlushWait with every lane clean sent %d markers, want 0", n)
+	}
+	if d := tr.Stats().Load().Sub(before); d.TotalMessages() != 0 {
+		t.Errorf("clean flush put %d messages on the wire, want 0", d.TotalMessages())
+	}
+	// An aborted flush may have cleared a flag whose marker was never
+	// acked, so re-arming flushes every lane again.
+	ep.Abort()
+	ep.ResetAbort()
+	if n := ep.FlushWait(all); n != 2 {
+		t.Errorf("FlushWait after ResetAbort sent %d markers, want 2", n)
 	}
 }
 

@@ -44,9 +44,6 @@ type runner[V, M any] struct {
 	values []V
 	halted []bool
 
-	// classes is computed for token techniques only (§5.3).
-	classes []partition.Class
-
 	// pBoundary is computed for VertexLockGiraph only: per-vertex
 	// p-boundary flags (Definition 4), precomputed once instead of walking
 	// both adjacency lists per vertex per superstep.
@@ -199,9 +196,6 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	quality := partition.ReportClassified(g, pm, classes)
 	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
 	r.reg.Add(metrics.BoundaryVertices, int64(n-quality.PInternal))
-	if cfg.Sync == TokenSingle || cfg.Sync == TokenDual {
-		r.classes = classes
-	}
 	if cfg.Sync == VertexLockGiraph {
 		r.pBoundary = partition.PBoundaryFlags(g, pm)
 	}
@@ -229,7 +223,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		partNeighbors = pm.Neighbors(g)
 	}
 	for w := 0; w < cfg.Workers; w++ {
-		r.workers = append(r.workers, newWorker(r, w))
+		r.workers = append(r.workers, newWorker(r, w, classes))
 	}
 	switch cfg.Sync {
 	case PartitionLock:

@@ -67,7 +67,7 @@ func TestMetricsConservation(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Workers: 4, Mode: tc.mode, Sync: tc.sync, Seed: 5}
+			cfg := Config{Workers: 4, Mode: tc.mode, Sync: tc.sync, Seed: 5, DetailedStats: true}
 			_, res, _, err := Run(g, algorithms.SSSP(0), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -116,6 +116,29 @@ func TestMetricsConservation(t *testing.T) {
 				}
 				if got, want := m.Get(metrics.FlushMarkers), m.Get(metrics.CtrlMessages); got != want {
 					t.Errorf("token runs send no other control traffic: markers = %d, ctrl = %d", got, want)
+				}
+				if got, want := m.Get(metrics.FlushMarkers), res.Net.AckMessages; got != want {
+					t.Errorf("every flush marker is acked: markers = %d, acks = %d", got, want)
+				}
+				// Markers go out only when the global token moves, at most
+				// one per peer.
+				tokens := &runner[struct{}, struct{}]{cfg: cfg.WithDefaults()}
+				handoffs := 0
+				for s := 0; s < res.Supersteps; s++ {
+					holder, _ := tokens.tokenState(s)
+					if next, _ := tokens.tokenState(s + 1); next != holder {
+						handoffs++
+						continue
+					}
+					if ctrl := res.SuperstepStats[s].CtrlMsgs; ctrl != 0 {
+						t.Errorf("superstep %d keeps the global token but sent %d control messages", s, ctrl)
+					}
+				}
+				if tc.sync == TokenDual && handoffs == res.Supersteps {
+					t.Errorf("every one of %d TokenDual supersteps is a handoff; the check above is vacuous", handoffs)
+				}
+				if got, max := m.Get(metrics.FlushMarkers), int64((cfg.Workers-1)*handoffs); got > max {
+					t.Errorf("flush_markers = %d > (workers-1) x %d global handoffs = %d", got, handoffs, max)
 				}
 			}
 		})

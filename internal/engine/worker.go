@@ -40,10 +40,10 @@ type worker[V, M any] struct {
 	mgr      *chandy.Manager
 	otherWks []cluster.WorkerID
 
-	// partIdx maps each owned partition to its position in parts, replacing
-	// the linear scan TokenDual's allowed-filter used to do per partition
-	// per superstep.
-	partIdx map[partition.ID]int
+	// partIdx maps each owned partition ID to its position in parts.
+	partIdx []int
+
+	tokenVerts [][2][2][]graph.VertexID // see tokenVertLists
 
 	// threads holds one thread scratch object per compute thread, reused
 	// across supersteps so reader scratch, staging buffers, and aggregator
@@ -96,7 +96,7 @@ type worker[V, M any] struct {
 	doneCh  chan struct{}
 }
 
-func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
+func newWorker[V, M any](r *runner[V, M], id int, classes []partition.Class) *worker[V, M] {
 	w := &worker[V, M]{
 		r: r, id: id,
 		parts:    r.pm.PartitionsOfWorker(id),
@@ -105,9 +105,12 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 		startCh:  make(chan int),
 		doneCh:   make(chan struct{}),
 	}
-	w.partIdx = make(map[partition.ID]int, len(w.parts))
+	w.partIdx = make([]int, r.pm.P)
 	for i, p := range w.parts {
 		w.partIdx[p] = i
+	}
+	if r.cfg.Sync == TokenSingle || r.cfg.Sync == TokenDual {
+		w.tokenVerts = tokenVertLists(r.cfg.Sync, r.pm, classes, w.parts)
 	}
 	w.threads = make([]*thread[V, M], r.cfg.ThreadsPerWorker)
 	for i := range w.threads {
@@ -178,6 +181,34 @@ func newWorker[V, M any](r *runner[V, M], id int) *worker[V, M] {
 	w.ep = cluster.NewEndpoint(r.tr, cluster.WorkerID(id), w.onData, w.onCtrl)
 	w.ep.SetFlow(r.flow)
 	return w
+}
+
+// tokenVertLists returns lists[i][g][l]: the vertices of parts[i], in
+// pm.Vertices order, that token passing runs when their worker does (g=1)
+// or does not hold the global token and parts[i] does (l=1) or does not
+// hold the local one (§4.2, §5.3).
+func tokenVertLists(sync Sync, pm *partition.Map, classes []partition.Class, parts []partition.ID) [][2][2][]graph.VertexID {
+	lists := make([][2][2][]graph.VertexID, len(parts))
+	for i, p := range parts {
+		for _, v := range pm.Vertices(p) {
+			c := classes[v]
+			needGlobal := c == partition.RemoteBoundary || c == partition.MixedBoundary
+			needLocal := sync == TokenDual && (c == partition.LocalBoundary || c == partition.MixedBoundary)
+			for g := b2i(needGlobal); g < 2; g++ {
+				for l := b2i(needLocal); l < 2; l++ {
+					lists[i][g][l] = append(lists[i][g][l], v)
+				}
+			}
+		}
+	}
+	return lists
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // newLockManager creates the worker's Chandy–Misra manager. preHandoff
@@ -336,11 +367,12 @@ func (w *worker[V, M]) runSuperstep(s int) {
 
 	// End-of-superstep flush (§6.1): push out all remaining buffered
 	// remote messages. Token techniques additionally await delivery
-	// confirmations before the token moves on (§4.2, §6.2); locking
-	// techniques rely on FIFO-before-fork flushes mid-superstep and only
-	// need the data on the wire before the barrier.
+	// confirmations when the global token moves (§4.2, §6.2; C1 in DESIGN
+	// §4); locking techniques rely on FIFO-before-fork flushes mid-superstep
+	// and only need the data on the wire before the barrier.
 	w.buf.FlushAll()
-	if w.r.cfg.Sync == TokenSingle || w.r.cfg.Sync == TokenDual {
+	holder, _ := w.r.tokenState(s)
+	if next, _ := w.r.tokenState(s + 1); next != holder {
 		n := int64(w.ep.FlushWait(w.otherWks))
 		reg.Add(metrics.FlushMarkers, n)
 		reg.Add(metrics.CtrlMessages, n)
@@ -542,40 +574,17 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 		if !w.mgr.Acquire(chandy.PhilID(p)) {
 			return // watchdog abort: the run is headed into recovery
 		}
-		t.executeVertices(verts, nil)
+		t.executeVertices(verts)
 		t.flushStaged() // before Release: neighbors must read fresh replicas
 		w.mgr.Release(chandy.PhilID(p))
-	case TokenSingle:
-		holder, _ := r.tokenState(t.superstep)
-		allowed := func(v graph.VertexID) bool {
-			c := r.classes[v]
-			if c == partition.RemoteBoundary || c == partition.MixedBoundary {
-				return holder == w.id
-			}
-			return true // m-internal vertices always run (§4.2)
-		}
-		t.executeVertices(verts, allowed)
-		t.flushStaged()
-	case TokenDual:
+	case TokenSingle, TokenDual:
 		holder, localIdx := r.tokenState(t.superstep)
-		myLocalIdx := w.partIdx[p]
-		allowed := func(v graph.VertexID) bool {
-			switch r.classes[v] {
-			case partition.PInternal:
-				return true
-			case partition.LocalBoundary:
-				return myLocalIdx == localIdx
-			case partition.RemoteBoundary:
-				return holder == w.id
-			default: // MixedBoundary
-				return holder == w.id && myLocalIdx == localIdx
-			}
-		}
-		t.executeVertices(verts, allowed)
-		// Cross-partition local recipients of anything staged here are
-		// local/mixed boundary vertices of a *different* partition, which
-		// the local token keeps inactive this superstep — folding at pass
-		// end is indistinguishable from eager delivery.
+		i := w.partIdx[p]
+		t.executeVertices(w.tokenVerts[i][b2i(holder == w.id)][b2i(i == localIdx)])
+		// Under TokenDual, cross-partition local recipients of anything
+		// staged here are local/mixed boundary vertices of a *different*
+		// partition, which the local token keeps inactive this superstep —
+		// folding at pass end is indistinguishable from eager delivery.
 		t.flushStaged()
 	case VertexLockGiraph:
 		// The heavy-weight partition thread blocks on every p-boundary
@@ -597,7 +606,7 @@ func (t *thread[V, M]) runPartition(p partition.ID) {
 			}
 		}
 	default: // SyncNone
-		t.executeVertices(verts, nil)
+		t.executeVertices(verts)
 		t.flushStaged()
 	}
 }
@@ -612,15 +621,12 @@ func (t *thread[V, M]) anyActive(verts []graph.VertexID) bool {
 	return false
 }
 
-// executeVertices runs every active (and allowed) vertex of a partition
-// sequentially, which is how partition-aware systems execute (§5.1).
-func (t *thread[V, M]) executeVertices(verts []graph.VertexID, allowed func(graph.VertexID) bool) {
+// executeVertices runs every active vertex of verts sequentially, which is
+// how partition-aware systems execute (§5.1).
+func (t *thread[V, M]) executeVertices(verts []graph.VertexID) {
 	r := t.w.r
 	st := t.w.readStore()
 	for _, v := range verts {
-		if allowed != nil && !allowed(v) {
-			continue
-		}
 		if r.halted[v] && !st.HasNew(v) {
 			continue
 		}

@@ -75,8 +75,8 @@ const (
 	// control frames (one frame per destination per critical section), so
 	// it equals fork_grants_remote + token_sends_remote.
 	CtrlEntries
-	// FlushMarkers counts the flush-with-ack markers of token handoffs
-	// (a subset of CtrlMessages).
+	// FlushMarkers counts token passing's flush-with-ack markers, a subset
+	// of CtrlMessages; DESIGN §4 gives the rule for when they are sent.
 	FlushMarkers
 	// LockAcquires counts Chandy–Misra Acquire calls (= meals = partition
 	// or vertex executions under a locking technique).

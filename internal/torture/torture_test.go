@@ -30,7 +30,33 @@ var (
 		"force a tiny message-plane memory budget on every case (nightly bounded-memory row; replay failures with the same flag plus -torture.seed)")
 	flagStreamPart = flag.Bool("torture.streampart", false,
 		"force the streaming partitioner (ldg) on every case (nightly locality row; replay failures with the same flag plus -torture.seed)")
+	flagToken = flag.Bool("torture.token", false,
+		"force Async with TokenSingle or TokenDual (alternating by seed) on every case (nightly token row; replay failures with the same flag plus -torture.seed)")
 )
+
+// applyToken moves the scenario onto a token technique when -torture.token
+// is set: Async with TokenSingle or TokenDual, picked by a seed bit so the
+// sweep runs both. Topology mutations need SyncNone, so mutate cases run
+// coloring instead, the workload token passing exists to make correct.
+// Like applyTinyBudget, the override is flag-derived: replaying a failure
+// needs the same flag.
+func applyToken(sc Scenario) Scenario {
+	if !*flagToken {
+		return sc
+	}
+	if sc.Mode == engine.BAP {
+		sc.MaxSupersteps = 500 // BAP's logical-superstep cap does not apply
+	}
+	sc.Mode = engine.Async
+	sc.Sync = engine.TokenSingle
+	if sc.Seed&2 != 0 {
+		sc.Sync = engine.TokenDual
+	}
+	if sc.Algorithm == "mutate" {
+		sc.Algorithm = "coloring"
+	}
+	return sc
+}
 
 // applyStreamPart pins the scenario's partitioner to ldg when
 // -torture.streampart is set. Like applyTinyBudget, the override is
@@ -90,7 +116,7 @@ func failCase(t *testing.T, sc Scenario, err error, scratch string) {
 // oracle to each case. With -torture.seed it replays exactly one case.
 func TestTorture(t *testing.T) {
 	if *flagSeed != 0 {
-		sc := applyStreamPart(applyTinyBudget(Sample(*flagSeed)))
+		sc := applyToken(applyStreamPart(applyTinyBudget(Sample(*flagSeed))))
 		if sc.Transport == engine.TransportTCP && !LoopbackAvailable() {
 			t.Skipf("seed %#x needs TCP loopback, unavailable here", sc.Seed)
 		}
@@ -112,7 +138,7 @@ func TestTorture(t *testing.T) {
 	ran := 0
 	for i := 0; ran < n; i++ {
 		seed := CaseSeed(*flagRoot, i)
-		sc := applyStreamPart(applyTinyBudget(Sample(seed)))
+		sc := applyToken(applyStreamPart(applyTinyBudget(Sample(seed))))
 		if *flagFaulty && (sc.Fault == nil || len(sc.Fault.Crashes) == 0) {
 			// The fault-plan sweep spends its case budget only on crash
 			// scenarios; skipping (rather than resampling) keeps every
