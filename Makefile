@@ -55,11 +55,13 @@ torture-pinned:
 		-torture.n=200 -torture.root=0xdecaf -timeout=15m
 
 # Wire-transport gate: the TCP backend conformance suite, the
-# cross-transport equivalence matrix, the goroutine-level and real
-# multi-process dist conformance suites, all under the race detector.
+# cross-transport equivalence matrix, the goroutine-level multi-process
+# conformance suites (library-level BSP checks in internal/dist, every
+# technique across worker processes in internal/engine) and the real
+# multi-process runs, all under the race detector.
 tcp:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/wire/ ./internal/dist/
-	$(GO) test -race -count=1 ./internal/engine/ -run TestTransportEquivalenceMatrix -v
+	$(GO) test -race -count=1 ./internal/engine/ -run 'TestTransportEquivalenceMatrix|TestMultiProcess' -v
 	$(GO) test -race -count=1 ./cmd/graphrun/ -run TestGraphrunMultiProcess -v
 
 # Bounded-memory message-plane gate: the credit-window and spill-tier unit
@@ -74,7 +76,7 @@ flow:
 # Locality-aware partitioning gate: the LDG streaming partitioner and
 # relabeling unit suites under the race detector, the partitioner
 # equivalence matrix (every mode × technique × partitioner cell bitwise
-# against the hash baseline), the distributed rebuild conformance cell,
+# against the hash baseline), the multi-process rebuild conformance cell,
 # and the full-size quality acceptance run (balance bound, >=25%
 # boundary-fraction and cross-partition byte reductions vs hash).
 partition:

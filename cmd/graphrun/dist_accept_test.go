@@ -1,12 +1,13 @@
 package main
 
-// Acceptance: a graphrun coordinator plus two real worker OS processes
+// Acceptance: a graphrun coordinator plus real worker OS processes
 // complete SSSP, PageRank, and coloring over TCP loopback with results
-// identical to an in-process engine run on the same graph, worker
-// count, partitioning, and seed. This is the process-level counterpart
-// of internal/dist's goroutine-based conformance suite: here the bytes
-// cross actual process boundaries and the only shared state is the
-// graph file.
+// identical to an in-process run on the same graph, worker count,
+// partitioning, and seed — under BSP, and under async partition locking
+// against the single-process graphrun output. This is the process-level
+// counterpart of the goroutine-based multi-process conformance suites in
+// internal/dist and internal/engine: here the bytes cross actual process
+// boundaries and the only shared state is the graph file.
 
 import (
 	"bufio"
@@ -21,8 +22,8 @@ import (
 	"testing"
 	"time"
 
+	"serialgraph"
 	"serialgraph/internal/algorithms"
-	"serialgraph/internal/dist"
 	"serialgraph/internal/engine"
 	"serialgraph/internal/generate"
 	"serialgraph/internal/graph"
@@ -103,23 +104,31 @@ func TestGraphrunMultiProcess(t *testing.T) {
 		t.Fatalf("save graph: %v", err)
 	}
 
-	const workers, seed = 2, 7
+	const seed = 7
+	bsp := []string{"-model", "bsp", "-technique", "none"}
 	// Vote-halting PageRank and coloring do not converge under BSP (the
 	// matrix test documents both), so those runs are bounded and the
 	// exact bounded state compared; SSSP converges on its own.
 	cases := []struct {
 		name          string
 		alg           string
+		workers       int // 0 = 2
 		maxSupersteps int // 0 = default
 		extra         []string
 		// rejected names a flag the coordinator does not read: it must
 		// exit non-zero naming it, before accepting any worker.
 		rejected string
+		// single compares against the single-process graphrun -o output
+		// with the same flags instead of the in-process BSP engine.
+		single bool
 	}{
-		{name: "sssp", alg: "sssp", extra: []string{"-source", "0"}},
-		{name: "pagerank", alg: "pagerank", maxSupersteps: 50, extra: []string{"-eps", "0.01"}},
-		{name: "coloring", alg: "coloring", maxSupersteps: 30},
-		{name: "rejects-technique", alg: "sssp", extra: []string{"-technique", "dual-token"}, rejected: "-technique"},
+		{name: "sssp", alg: "sssp", extra: append(bsp, "-source", "0")},
+		{name: "pagerank", alg: "pagerank", maxSupersteps: 50, extra: append(bsp, "-eps", "0.01")},
+		{name: "coloring", alg: "coloring", maxSupersteps: 30, extra: bsp},
+		{name: "sssp-async-partition-lock", alg: "sssp", workers: 3, single: true,
+			extra: []string{"-source", "0", "-model", "async", "-technique", "partition-locking"}},
+		{name: "rejects-bap", alg: "sssp", extra: []string{"-model", "bap"}, rejected: "-model"},
+		{name: "rejects-checkpoint", alg: "sssp", extra: []string{"-checkpoint-every", "2"}, rejected: "-checkpoint-every"},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -127,16 +136,18 @@ func TestGraphrunMultiProcess(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
-			outPath := filepath.Join(dir, tc.alg+".txt")
-			args := []string{
-				"-listen", "127.0.0.1:0", "-workers", fmt.Sprint(workers),
-				"-alg", tc.alg, "-graph", graphPath, "-seed", fmt.Sprint(seed),
-				"-o", outPath,
+			workers := tc.workers
+			if workers == 0 {
+				workers = 2
 			}
+			outPath := filepath.Join(dir, tc.name+".txt")
+			common := []string{"-workers", fmt.Sprint(workers), "-alg", tc.alg, "-graph", graphPath,
+				"-seed", fmt.Sprint(seed)}
 			if tc.maxSupersteps > 0 {
-				args = append(args, "-max-supersteps", fmt.Sprint(tc.maxSupersteps))
+				common = append(common, "-max-supersteps", fmt.Sprint(tc.maxSupersteps))
 			}
-			args = append(args, tc.extra...)
+			common = append(common, tc.extra...)
+			args := append([]string{"-listen", "127.0.0.1:0", "-o", outPath}, common...)
 			if tc.rejected != "" {
 				out, err := exec.CommandContext(ctx, bin, args...).CombinedOutput()
 				if err == nil {
@@ -171,10 +182,24 @@ func TestGraphrunMultiProcess(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read values: %v", err)
 			}
-			want := inprocLines(t, tc.alg, graphPath, tc.maxSupersteps, seed)
+			var want string
+			if tc.single {
+				refPath := filepath.Join(dir, tc.name+".ref.txt")
+				ref := append([]string{"-o", refPath}, common...)
+				if out, err := exec.CommandContext(ctx, bin, ref...).CombinedOutput(); err != nil {
+					t.Fatalf("single-process reference: %v\n%s", err, out)
+				}
+				b, err := os.ReadFile(refPath)
+				if err != nil {
+					t.Fatalf("read reference: %v", err)
+				}
+				want = string(b)
+			} else {
+				want = inprocLines(t, tc.alg, graphPath, tc.maxSupersteps, seed)
+			}
 			if string(got) != want {
-				t.Fatalf("%s: multi-process values differ from in-process run\n got %d bytes, want %d bytes",
-					tc.alg, len(got), len(want))
+				t.Fatalf("%s: multi-process values differ from the single-process run\n got %d bytes, want %d bytes",
+					tc.name, len(got), len(want))
 			}
 		})
 	}
@@ -185,8 +210,7 @@ func TestGraphrunMultiProcess(t *testing.T) {
 // the coordinator's -o writer does.
 func inprocLines(t *testing.T, alg, graphPath string, maxSupersteps int, seed uint64) string {
 	t.Helper()
-	job := dist.Job{GraphPath: graphPath, Undirected: alg == "coloring"}
-	g, err := dist.BuildGraph(job)
+	g, err := serialgraph.JobGraph(serialgraph.Job{GraphPath: graphPath, Undirected: alg == "coloring"})
 	if err != nil {
 		t.Fatalf("rebuild graph: %v", err)
 	}

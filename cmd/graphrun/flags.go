@@ -18,11 +18,12 @@ var (
 	transports = []serialgraph.Transport{serialgraph.InProc, serialgraph.TCPLoopback}
 )
 
-// coordinatorFlags are the flags -listen mode reads. The multi-process
-// driver runs BSP with no technique, recovery or instrumentation, so every
+// coordinatorFlags are the flags -listen mode reads. Multi-process runs
+// have no recovery, checkpoints, fault injection or history, so every
 // other flag would be silently ignored there.
 var coordinatorFlags = []string{"listen", "alg", "graph", "family", "n", "workers", "ppw",
-	"seed", "partitioner", "max-supersteps", "msg-mem", "source", "eps", "o"}
+	"model", "technique", "seed", "partitioner", "max-supersteps", "msg-mem", "source", "eps",
+	"o", "metrics-out"}
 
 // enumFlag is a flag whose value is one of vals, named by its String().
 type enumFlag[T fmt.Stringer] struct {

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"serialgraph"
-	"serialgraph/internal/dist"
 	"serialgraph/internal/partition"
 )
 
@@ -104,14 +103,14 @@ func main() {
 		return
 	}
 	if *listenAddr != "" {
-		rejectUnread("coordinator mode (-listen runs BSP with no technique over TCP)",
+		rejectUnread("coordinator mode (-listen runs BSP or async over TCP, without recovery)",
 			func(name string) bool { return slices.Contains(coordinatorFlags, name) })
-		job := dist.Job{
+		job := serialgraph.Job{
 			Alg: *alg, GraphPath: *graphPath, Family: *family, N: int32(*familyN),
 			Source: int32(*source), Eps: *eps,
 		}
-		if err := runCoordinatorProcess(*listenAddr, opt, job, *out); err != nil {
-			log.Fatal(err)
+		if err := runCoordinatorProcess(*listenAddr, opt, job, *out, *metricsOut); err != nil {
+			log.Fatalf("coordinator (-model %s -technique %s): %v", opt.Model, opt.Technique, err)
 		}
 		return
 	}
@@ -287,20 +286,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
-		res.Converged, res.Supersteps, res.Executions, res.ComputeTime.Round(time.Millisecond))
-	q := res.Partition
-	fmt.Printf("partition: cut=%.3f boundary=%.3f (pint=%d local=%d remote=%d mixed=%d) repl=%.2f skew=%.2f\n",
-		q.CutFraction, q.BoundaryFraction,
-		q.PInternal, q.LocalBoundary, q.RemoteBoundary, q.MixedBoundary,
-		q.ReplicationFactor, q.BalanceSkew)
-	fmt.Printf("network: %d data batches / %d KB data, %d control msgs; forks=%d tokens=%d\n",
-		res.Net.DataMessages, res.Net.DataBytes/1024, res.Net.ControlMessages,
-		res.ForkSends, res.TokenSends)
-	if res.Net.WireBytesSent > 0 {
-		fmt.Printf("wire: %d bytes sent / %d bytes received over TCP\n",
-			res.Net.WireBytesSent, res.Net.WireBytesReceived)
-	}
+	printSummary(res)
 	if faulty || res.WatchdogStalls > 0 {
 		fmt.Printf("recovery: rollbacks=%d (confined=%d) recomputed-supersteps=%d recomputed-partition-supersteps=%d wasted-msgs=%d dropped=%d watchdog-stalls=%d\n",
 			res.Rollbacks, res.ConfinedRecoveries, res.RecomputedSupersteps,
@@ -316,35 +302,17 @@ func main() {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if err := writeValues(*out, values, intValues); err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
-		if intValues != nil {
-			for _, v := range intValues {
-				fmt.Fprintln(f, v)
-			}
-		} else {
-			for _, v := range values {
-				fmt.Fprintln(f, v)
-			}
-		}
-		fmt.Printf("wrote values to %s\n", *out)
 	}
-
 	if *metricsOut != "" {
 		if opt.Technique == serialgraph.VertexLocking {
 			log.Println("note: the GAS engine is not metrics-instrumented; the snapshot will be zeros")
 		}
-		buf, err := json.MarshalIndent(res.Metrics, "", "  ")
-		if err != nil {
+		if err := writeMetrics(*metricsOut, res); err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*metricsOut, append(buf, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote metrics to %s\n", *metricsOut)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, res); err != nil {
@@ -364,6 +332,59 @@ func main() {
 		}
 		fmt.Printf("wrote heap profile to %s\n", *memProfile)
 	}
+}
+
+// printSummary prints a run's outcome, partition quality and traffic.
+func printSummary(res serialgraph.Result) {
+	fmt.Printf("converged=%v supersteps=%d executions=%d time=%v\n",
+		res.Converged, res.Supersteps, res.Executions, res.ComputeTime.Round(time.Millisecond))
+	q := res.Partition
+	fmt.Printf("partition: cut=%.3f boundary=%.3f (pint=%d local=%d remote=%d mixed=%d) repl=%.2f skew=%.2f\n",
+		q.CutFraction, q.BoundaryFraction,
+		q.PInternal, q.LocalBoundary, q.RemoteBoundary, q.MixedBoundary,
+		q.ReplicationFactor, q.BalanceSkew)
+	fmt.Printf("network: %d data batches / %d KB data, %d control msgs; forks=%d tokens=%d\n",
+		res.Net.DataMessages, res.Net.DataBytes/1024, res.Net.ControlMessages,
+		res.ForkSends, res.TokenSends)
+	if res.Net.WireBytesSent > 0 {
+		fmt.Printf("wire: %d bytes sent / %d bytes received over TCP\n",
+			res.Net.WireBytesSent, res.Net.WireBytesReceived)
+	}
+}
+
+// writeValues writes the final vertex values, one per line.
+func writeValues(path string, values []float64, intValues []int32) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if intValues != nil {
+		for _, v := range intValues {
+			fmt.Fprintln(f, v)
+		}
+	} else {
+		for _, v := range values {
+			fmt.Fprintln(f, v)
+		}
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("wrote values to %s\n", path)
+	return nil
+}
+
+// writeMetrics writes the run's metrics snapshot as JSON.
+func writeMetrics(path string, res serialgraph.Result) error {
+	buf, err := json.MarshalIndent(res.Metrics, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote metrics to %s\n", path)
+	return nil
 }
 
 // writeTrace renders the per-superstep stats as CSV, one row per

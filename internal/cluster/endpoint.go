@@ -44,6 +44,8 @@ type Endpoint struct {
 	mu      sync.Mutex
 	acks    map[uint64]chan struct{}
 	abortCh chan struct{} // closed by Abort; replaced by ResetAbort
+	marks   int           // flush markers received and not yet consumed by Barrier
+	marked  *sync.Cond    // on mu; signalled per marker and by Abort
 }
 
 // NewEndpoint registers worker id on t. onData receives Data payloads,
@@ -51,6 +53,7 @@ type Endpoint struct {
 // goroutines and must not block indefinitely.
 func NewEndpoint(t Transport, id WorkerID, onData, onCtrl func(from WorkerID, payload any)) *Endpoint {
 	e := &Endpoint{t: t, id: id, dirty: make([]atomic.Bool, t.NumWorkers()), onData: onData, onCtrl: onCtrl, acks: make(map[uint64]chan struct{}), abortCh: make(chan struct{})}
+	e.marked = sync.NewCond(&e.mu)
 	t.RegisterHandler(id, e.handle)
 	return e
 }
@@ -59,6 +62,10 @@ func (e *Endpoint) handle(m Message) {
 	switch p := m.Payload.(type) {
 	case FlushMarker:
 		e.t.Send(Message{From: e.id, To: m.From, Kind: Ack, Bytes: AckBytes, Payload: AckMsg{p.Seq}})
+		e.mu.Lock()
+		e.marks++
+		e.marked.Signal()
+		e.mu.Unlock()
 	case AckMsg:
 		e.mu.Lock()
 		ch := e.acks[p.Seq]
@@ -144,6 +151,33 @@ func (e *Endpoint) FlushWait(targets []WorkerID) int {
 	return len(chans)
 }
 
+// Barrier is the end of a superstep across processes, where no transport
+// can tell that the cluster is idle. It sends a flush marker to every peer,
+// waits for their acks, then waits for one marker from every peer. Lanes
+// are FIFO, so when Barrier returns every message peers sent this endpoint
+// before their own Barrier has been delivered, and every message this
+// endpoint sent them has been delivered too. Each peer must call Barrier
+// once per superstep, and nothing else may flush to this endpoint in
+// between. It returns the number of markers sent.
+func (e *Endpoint) Barrier(peers []WorkerID) int {
+	for _, p := range peers {
+		e.dirty[p].Store(true)
+	}
+	n := e.FlushWait(peers)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.marks < n {
+		select {
+		case <-e.abortCh:
+			return n
+		default:
+		}
+		e.marked.Wait()
+	}
+	e.marks -= n
+	return n
+}
+
 // Abort makes any current or future FlushWait stop blocking on missing
 // acks. The engine's liveness watchdog calls it when a superstep stalls
 // (e.g. a flush marker or its ack was lost) so the waiting worker can reach
@@ -156,6 +190,7 @@ func (e *Endpoint) Abort() {
 	default:
 		close(e.abortCh)
 	}
+	e.marked.Broadcast()
 }
 
 // ResetAbort re-arms an aborted endpoint and drops any ack registrations
@@ -170,4 +205,5 @@ func (e *Endpoint) ResetAbort() {
 	defer e.mu.Unlock()
 	e.abortCh = make(chan struct{})
 	clear(e.acks)
+	e.marks = 0
 }

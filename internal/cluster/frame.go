@@ -12,15 +12,15 @@ package cluster
 //	u32  body length (bytes after this field; <= MaxFrameBytes)
 //	u8   frame type (Frame* constants)
 //	u8   flags (FlagWireLost)
-//	zigzag varint  from  (worker ID; -1 = coordinator in dist mode)
+//	zigzag varint  from  (worker ID; -1 = the multi-process coordinator)
 //	zigzag varint  to
 //	uvarint        declared bytes (the simulated Message.Bytes ledger)
 //	uvarint        straggler delay in nanoseconds (injected Fate.Delay)
 //	...  payload bytes (frame-type specific)
 //
 // Versioning: ProtocolVersion is carried in the Hello frame that opens
-// every connection (both the intra-process TCP backend's preamble and the
-// multi-process driver's handshake); peers with a different version
+// every connection (both the TCP backend's lane preamble and the
+// multi-process coordinator's handshake); peers with a different version
 // refuse the connection rather than misparse frames.
 
 import (
@@ -35,7 +35,7 @@ import (
 
 // ProtocolVersion is the wire protocol generation. Bump it whenever the
 // frame layout or any payload encoding changes incompatibly.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // MaxFrameBytes caps the declared body length of a single frame. A peer
 // (or fuzzer) claiming a larger frame is rejected before any allocation,
@@ -43,8 +43,8 @@ const ProtocolVersion = 3
 const MaxFrameBytes = 16 << 20
 
 // Frame types. The low range carries engine traffic (one frame per
-// cluster.Message); the 0x1x range carries the multi-process driver's
-// coordination protocol.
+// cluster.Message); the 0x1x range carries the multi-process
+// coordinator's control protocol.
 const (
 	// FrameData is a batch of vertex messages ([]msgstore.Entry[M]).
 	FrameData byte = 0x01
@@ -64,7 +64,7 @@ const (
 	FrameCredit byte = 0x05
 
 	// FrameHello opens every connection: protocol version + sender
-	// identity (and, for the multi-process driver, a listen address).
+	// identity (and, to the multi-process coordinator, a listen address).
 	FrameHello byte = 0x10
 	// FrameJob carries the coordinator's job spec to a worker process.
 	FrameJob byte = 0x11
@@ -72,13 +72,10 @@ const (
 	FrameStepStart byte = 0x12
 	// FrameStepDone reports a worker's superstep results to the master.
 	FrameStepDone byte = 0x13
-	// FrameBarrier is the data-plane flush barrier between worker
-	// processes: by FIFO order it proves all of the sender's data frames
-	// for the superstep have been received.
-	FrameBarrier byte = 0x14
-	// FrameValues carries final (vertex, value) pairs back to the master.
+	// FrameValues carries final (vertex, value) pairs back to the master,
+	// with the worker's traffic counters and metrics.
 	FrameValues byte = 0x15
-	// FrameFinish ends the run (converged flag + superstep count).
+	// FrameFinish ends the run; it has no payload.
 	FrameFinish byte = 0x16
 )
 

@@ -3,8 +3,11 @@ package cluster
 // tcp.go is the real-socket transport backend. It keeps the exact
 // delivery semantics of the Mem simulator — per-pair FIFO, never-blocking
 // Send, inflight accounting for WaitIdle, Kill/Revive drop rules, fault
-// hook fidelity — but moves every message through a loopback TCP
-// connection as encoded frames:
+// hook fidelity — but moves every message through a TCP connection as
+// encoded frames. The same lane code serves two shapes: NewTCPLoopback
+// hosts every worker of a run in one process, NewTCPPeer hosts one
+// worker whose peers are other processes.
+//
 //
 //   - one persistent connection per ordered (sender, receiver) pair,
 //     including self-pairs, so a lane is exactly a socket and TCP's
@@ -15,7 +18,10 @@ package cluster
 //   - a read pump per connection that decodes frames sequentially and
 //     invokes the receiver's handler, preserving send order;
 //   - connection setup with capped-backoff dial retry, and clean
-//     shutdown via write-side close so pumps drain to EOF.
+//     shutdown via write-side close so pumps drain to EOF;
+//   - failure as an error, never a panic or a hang: a frame that does not
+//     decode, a stream cut mid-frame or a failed write fails the
+//     transport (Err, Failed) and wakes WaitIdle.
 //
 // Fault injection maps onto the wire: Fate.Duplicates writes the frame
 // again (two real frames cross the socket), Fate.DropDelivery sets
@@ -29,7 +35,9 @@ package cluster
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -47,13 +55,23 @@ type tcpLane struct {
 	conn   net.Conn
 }
 
+// tcpInbound is the receiver side of one ordered-pair connection.
+type tcpInbound struct {
+	br       *bufio.Reader
+	conn     net.Conn
+	from, to WorkerID
+}
+
 type tcpQueued struct {
 	msg      Message
 	delay    time.Duration
 	wireLost bool
 }
 
-// TCP is the loopback-socket transport backend.
+// TCP is the socket transport backend. One TCP value hosts the lanes of
+// one or more workers: NewTCPLoopback hosts every worker of a run in one
+// process, NewTCPPeer hosts a single worker whose peers are other
+// processes.
 type TCP struct {
 	n        int
 	latency  LatencyModel
@@ -68,15 +86,24 @@ type TCP struct {
 	inflightMu sync.Mutex
 	inflight   int
 	idleCond   *sync.Cond
+	err        error         // first lane failure, under inflightMu
+	failed     chan struct{} // closed on the first lane failure
 
 	listeners []net.Listener
-	lanes     []*tcpLane // n*n, index from*n+to
+	lanes     []*tcpLane // n*n, index from*n+to; only hosted senders' lanes get a conn
+	connMu    sync.Mutex
+	inbound   []tcpInbound // connected inbound lanes whose pumps Start launches
 
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
 var _ Transport = (*TCP)(nil)
+
+// SetupTimeout bounds connection establishment: dials retry inside it, so
+// processes may start in any order, and a peer that never connects fails
+// the setup instead of wedging it.
+const SetupTimeout = 10 * time.Second
 
 // DialRetry dials addr with exponential backoff capped at 250ms until it
 // connects or the overall timeout elapses.
@@ -133,12 +160,7 @@ func parseHello(f Frame) (from, to WorkerID, err error) {
 	return WorkerID(fr), WorkerID(t), nil
 }
 
-// NewTCPLoopback creates a TCP transport for n workers, all inside this
-// process, connected over 127.0.0.1 sockets. codec encodes and decodes
-// frame payloads (the engine passes wire.NewCodec for its message type).
-// The latency model is recorded (Latency returns it) but not enforced:
-// the real wire provides the timing.
-func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
+func newTCP(n int, latency LatencyModel, codec PayloadCodec) *TCP {
 	if n < 1 {
 		panic("cluster: need at least one worker")
 	}
@@ -152,6 +174,7 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 		handlers: make([]Handler, n),
 		dead:     make([]atomic.Bool, n),
 		lanes:    make([]*tcpLane, n*n),
+		failed:   make(chan struct{}),
 	}
 	t.idleCond = sync.NewCond(&t.inflightMu)
 	for i := range t.lanes {
@@ -159,107 +182,193 @@ func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, erro
 		l.cond = sync.NewCond(&l.mu)
 		t.lanes[i] = l
 	}
+	return t
+}
 
-	t.listeners = make([]net.Listener, n)
+// NewTCPLoopback creates a TCP transport for n workers, all inside this
+// process, connected over 127.0.0.1 sockets. codec encodes and decodes
+// frame payloads (the engine passes wire.NewCodec for its message type).
+// The latency model is recorded (Latency returns it) but not enforced:
+// the real wire provides the timing.
+func NewTCPLoopback(n int, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
+	t := newTCP(n, latency, codec)
+	addrs := make([]string, n)
 	for w := 0; w < n; w++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.teardown()
 			return nil, fmt.Errorf("cluster: listen for worker %d: %w", w, err)
 		}
-		t.listeners[w] = ln
+		t.listeners = append(t.listeners, ln)
+		addrs[w] = ln.Addr().String()
 	}
-
-	// Accept side: every listener receives exactly n connections (one per
-	// sender, self included). The dialer's hello frame routes each
-	// accepted conn to its lane and starts that lane's read pump.
-	errCh := make(chan error, 2*n*n)
+	errs := make([]error, n)
 	var setup sync.WaitGroup
 	for w := 0; w < n; w++ {
 		setup.Add(1)
-		go func(w int) {
+		go func() {
 			defer setup.Done()
-			for k := 0; k < t.n; k++ {
-				conn, err := t.listeners[w].Accept()
-				if err != nil {
-					errCh <- err
-					return
-				}
-				br := bufio.NewReaderSize(conn, 64<<10)
-				f, _, err := ReadFrame(br)
-				if err != nil {
-					conn.Close()
-					errCh <- fmt.Errorf("cluster: handshake read: %w", err)
-					return
-				}
-				from, to, err := parseHello(f)
-				if err != nil || int(to) != w || from < 0 || int(from) >= t.n {
-					conn.Close()
-					if err == nil {
-						err = fmt.Errorf("cluster: misrouted hello %d->%d at listener %d", from, to, w)
-					}
-					errCh <- err
-					return
-				}
-				t.wg.Add(1)
-				go t.pump(br, conn)
-			}
-		}(w)
-	}
-
-	// Dial side: connect every ordered pair, with capped-backoff retry.
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			setup.Add(1)
-			go func(from, to int) {
-				defer setup.Done()
-				conn, err := DialRetry(t.listeners[to].Addr().String(), 5*time.Second)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				hello := AppendFrame(nil, &Frame{
-					Type: FrameHello, From: WorkerID(from), To: WorkerID(to),
-					Payload: helloPayload(WorkerID(from), WorkerID(to)),
-				})
-				if _, err := conn.Write(hello); err != nil {
-					conn.Close()
-					errCh <- err
-					return
-				}
-				l := t.lanes[from*n+to]
-				l.mu.Lock()
-				l.conn = conn
-				l.mu.Unlock()
-			}(from, to)
-		}
+			errs[w] = t.connect(w, t.listeners[w], addrs)
+		}()
 	}
 	setup.Wait()
-	select {
-	case err := <-errCh:
+	if err := errors.Join(errs...); err != nil {
 		t.teardown()
 		return nil, err
-	default:
 	}
-	for _, l := range t.lanes {
-		t.wg.Add(1)
-		go t.writer(l)
+	t.Start()
+	return t, nil
+}
+
+// NewTCPPeer creates the transport of worker me in a run of len(peers)
+// workers, each in its own process: ln is me's listener, and peers[w] is
+// worker w's listen address (peers[me] is ln's own). Every other process
+// must call NewTCPPeer for its worker concurrently; the call returns once
+// all of me's inbound and outbound lanes are connected, or fails after
+// SetupTimeout. Traffic between lanes of different processes keeps every
+// per-lane guarantee of the loopback backend; WaitIdle and InFlight,
+// which count messages in this process only, are not meaningful, and
+// cross-process barriers are built from flush markers instead
+// (Endpoint.Barrier).
+func NewTCPPeer(me int, ln net.Listener, peers []string, latency LatencyModel, codec PayloadCodec) (*TCP, error) {
+	if me < 0 || me >= len(peers) {
+		return nil, fmt.Errorf("cluster: worker %d outside a %d-worker peer list", me, len(peers))
+	}
+	t := newTCP(len(peers), latency, codec)
+	if err := t.connect(me, ln, peers); err != nil {
+		t.teardown()
+		return nil, err
 	}
 	return t, nil
 }
 
-// teardown releases sockets after a failed construction.
-func (t *TCP) teardown() {
-	for _, ln := range t.listeners {
-		if ln != nil {
-			ln.Close()
+// connect hosts worker w's lanes: it accepts one connection per sender
+// (w itself included) on ln, routing each by the hello its dialer writes
+// first, and dials every worker's address in addrs for w's outbound lanes.
+func (t *TCP) connect(w int, ln net.Listener, addrs []string) error {
+	deadline := time.Now().Add(SetupTimeout)
+	if tl, ok := ln.(*net.TCPListener); ok {
+		tl.SetDeadline(deadline)
+		defer tl.SetDeadline(time.Time{})
+	}
+	errs := make([]error, t.n+1)
+	var setup sync.WaitGroup
+	setup.Add(1)
+	go func() {
+		defer setup.Done()
+		seen := make([]bool, t.n)
+		for k := 0; k < t.n; k++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				errs[t.n] = fmt.Errorf("cluster: worker %d accept: %w", w, err)
+				return
+			}
+			conn.SetReadDeadline(deadline)
+			br := bufio.NewReaderSize(conn, 64<<10)
+			f, _, err := ReadFrame(br)
+			var from, to WorkerID
+			if err == nil {
+				from, to, err = parseHello(f)
+			}
+			if err == nil && (int(to) != w || from < 0 || int(from) >= t.n || seen[from]) {
+				err = fmt.Errorf("cluster: misrouted hello %d->%d at worker %d", from, to, w)
+			}
+			if err != nil {
+				conn.Close()
+				errs[t.n] = fmt.Errorf("cluster: worker %d handshake: %w", w, err)
+				return
+			}
+			seen[from] = true
+			conn.SetReadDeadline(time.Time{})
+			t.connMu.Lock()
+			t.inbound = append(t.inbound, tcpInbound{br, conn, from, to})
+			t.connMu.Unlock()
 		}
+	}()
+	for to := 0; to < t.n; to++ {
+		setup.Add(1)
+		go func() {
+			defer setup.Done()
+			conn, err := DialRetry(addrs[to], time.Until(deadline))
+			if err == nil {
+				hello := AppendFrame(nil, &Frame{
+					Type: FrameHello, From: WorkerID(w), To: WorkerID(to),
+					Payload: helloPayload(WorkerID(w), WorkerID(to)),
+				})
+				if _, err = conn.Write(hello); err != nil {
+					conn.Close()
+				}
+			}
+			if err != nil {
+				errs[to] = err
+				return
+			}
+			t.lanes[w*t.n+to].conn = conn
+		}()
+	}
+	setup.Wait()
+	return errors.Join(errs...)
+}
+
+// Start starts moving traffic: one read pump per inbound lane and one
+// writer per outbound lane. NewTCPLoopback starts its transport itself;
+// a NewTCPPeer transport must be started once its handlers are
+// registered, since peers may already be sending.
+func (t *TCP) Start() {
+	for _, in := range t.inbound {
+		t.wg.Add(1)
+		go t.pump(in.br, in.conn, in.from, in.to)
 	}
 	for _, l := range t.lanes {
-		if l != nil && l.conn != nil {
+		if l.conn != nil {
+			t.wg.Add(1)
+			go t.writer(l)
+		}
+	}
+}
+
+// teardown releases sockets after a failed construction or a failed run,
+// so every pump and writer unblocks.
+func (t *TCP) teardown() {
+	for _, ln := range t.listeners {
+		ln.Close()
+	}
+	for _, l := range t.lanes {
+		if l.conn != nil {
 			l.conn.Close()
 		}
 	}
+	t.connMu.Lock()
+	for _, in := range t.inbound {
+		in.conn.Close()
+	}
+	t.connMu.Unlock()
+}
+
+// Fail records the first lane failure: a frame that does not decode, a
+// socket error in the middle of the stream, or a write that does not go
+// through. The run cannot go on without the lost traffic, so every waiter
+// is woken instead: WaitIdle returns, Failed is closed and Err reports the
+// cause, and Close tears the sockets down instead of draining them. The
+// engine also calls it when a worker process loses its coordinator.
+func (t *TCP) Fail(err error) {
+	t.inflightMu.Lock()
+	if t.err == nil {
+		t.err = err
+		close(t.failed)
+	}
+	t.idleCond.Broadcast()
+	t.inflightMu.Unlock()
+}
+
+// Failed is closed when a lane fails.
+func (t *TCP) Failed() <-chan struct{} { return t.failed }
+
+// Err returns the first lane failure, or nil.
+func (t *TCP) Err() error {
+	t.inflightMu.Lock()
+	defer t.inflightMu.Unlock()
+	return t.err
 }
 
 // SetMetrics points the transport at a metrics registry; the writer and
@@ -416,7 +525,9 @@ func (t *TCP) enqueueCredit(granter, sender WorkerID, bytes int) {
 
 // writer drains one lane's queue onto its socket. Frames queued while a
 // previous burst was being written are encoded into the same buffered
-// writer and flushed together — the write-coalescing path.
+// writer and flushed together — the write-coalescing path. A payload the
+// codec cannot encode or a socket that stops taking bytes fails the
+// transport and ends the writer.
 func (t *TCP) writer(l *tcpLane) {
 	defer t.wg.Done()
 	bw := bufio.NewWriterSize(l.conn, 64<<10)
@@ -448,7 +559,9 @@ func (t *TCP) writer(l *tcpLane) {
 			}
 			ftype, payload, err := t.codec.EncodePayload(q.msg.Payload, nil)
 			if err != nil {
-				panic(fmt.Sprintf("cluster: cannot encode %d->%d payload: %v", q.msg.From, q.msg.To, err))
+				t.Fail(fmt.Errorf("cluster: cannot encode %d->%d payload: %w", q.msg.From, q.msg.To, err))
+				l.conn.Close()
+				return
 			}
 			f.Type = ftype
 			f.Payload = payload
@@ -461,17 +574,18 @@ func (t *TCP) writer(l *tcpLane) {
 		// never observe received > sent.
 		t.stats.WireBytesSent.Add(int64(len(buf)))
 		flushStart := time.Now()
-		if _, err := bw.Write(buf); err != nil {
-			panic(fmt.Sprintf("cluster: lane %d->%d write: %v", batch[0].msg.From, batch[0].msg.To, err))
-		}
+		_, err := bw.Write(buf)
 		// Coalesce: only pay the flush syscall when the queue ran dry.
 		l.mu.Lock()
 		empty := len(l.q) == 0
 		l.mu.Unlock()
-		if empty {
-			if err := bw.Flush(); err != nil {
-				panic(fmt.Sprintf("cluster: lane flush: %v", err))
-			}
+		if err == nil && empty {
+			err = bw.Flush()
+		}
+		if err != nil {
+			t.Fail(fmt.Errorf("cluster: lane %d->%d write: %w", batch[0].msg.From, batch[0].msg.To, err))
+			l.conn.Close()
+			return
 		}
 		if reg != nil {
 			reg.AddPhase(metrics.PhaseWireFlush, time.Since(flushStart))
@@ -485,45 +599,49 @@ func (t *TCP) writer(l *tcpLane) {
 	}
 }
 
-// pump is the read side of one connection: it decodes frames in stream
-// order and delivers them, mirroring a Mem lane's deliver goroutine
-// (including head-of-line straggler sleeps and wire-loss drops).
-func (t *TCP) pump(br *bufio.Reader, conn net.Conn) {
+// pump is the read side of the (from, to) lane: it decodes frames in
+// stream order and delivers them, mirroring a Mem lane's deliver goroutine
+// (including head-of-line straggler sleeps and wire-loss drops). EOF at a
+// frame boundary is the sender's clean close; a frame that does not decode
+// or a stream that breaks mid-frame fails the transport.
+func (t *TCP) pump(br *bufio.Reader, conn net.Conn, from, to WorkerID) {
 	defer t.wg.Done()
+	defer conn.Close()
 	for {
 		f, wireBytes, err := ReadFrame(br)
 		if err != nil {
-			// EOF after the peer's write-side close: the lane is drained.
+			if err != io.EOF && !(t.closed.Load() && errors.Is(err, net.ErrClosed)) {
+				t.Fail(fmt.Errorf("cluster: lane %d->%d read: %w", from, to, err))
+			}
 			return
 		}
 		t.stats.WireBytesReceived.Add(int64(wireBytes))
 		if f.Type == FrameCredit {
 			// Transport-level credit return: release the original data
-			// sender's (f.To → f.From) window and consume the frame here —
-			// it never reaches a handler or the per-kind ledger.
+			// sender's (to → from) window and consume the frame here — it
+			// never reaches a handler or the per-kind ledger.
 			n, k := binary.Uvarint(f.Payload)
 			if k <= 0 {
-				panic(fmt.Sprintf("cluster: corrupt credit frame %d->%d", f.From, f.To))
+				t.Fail(fmt.Errorf("cluster: corrupt credit frame on lane %d->%d", from, to))
+				return
 			}
-			t.flow.Release(f.To, f.From, int(n))
-			t.inflightMu.Lock()
-			t.inflight--
-			if t.inflight == 0 {
-				t.idleCond.Broadcast()
-			}
-			t.inflightMu.Unlock()
+			t.flow.Release(to, from, int(n))
+			t.doneInFlight()
 			continue
 		}
 		reg := t.reg.Load()
 		start := time.Now()
 		payload, err := t.codec.DecodePayload(f.Type, f.Payload)
 		if err != nil {
-			panic(fmt.Sprintf("cluster: corrupt %d->%d frame type 0x%02x: %v", f.From, f.To, f.Type, err))
+			t.Fail(fmt.Errorf("cluster: corrupt frame type 0x%02x on lane %d->%d: %w", f.Type, from, to, err))
+			return
 		}
 		if reg != nil {
 			reg.AddPhase(metrics.PhaseWireDecode, time.Since(start))
 		}
-		m := Message{From: f.From, To: f.To, Kind: KindOfFrame(f.Type), Bytes: f.Declared, Payload: payload}
+		// The lane, not the frame header, names the endpoints: a header
+		// cannot route a message to a handler its connection does not feed.
+		m := Message{From: from, To: to, Kind: KindOfFrame(f.Type), Bytes: f.Declared, Payload: payload}
 		if f.Delay > 0 {
 			time.Sleep(f.Delay)
 		}
@@ -544,20 +662,26 @@ func (t *TCP) pump(br *bufio.Reader, conn net.Conn) {
 		if m.Kind == Data && t.flow != nil {
 			t.enqueueCredit(m.To, m.From, m.Bytes)
 		}
-		t.inflightMu.Lock()
-		t.inflight--
-		if t.inflight == 0 {
-			t.idleCond.Broadcast()
-		}
-		t.inflightMu.Unlock()
+		t.doneInFlight()
 	}
 }
 
+// doneInFlight retires one in-flight message.
+func (t *TCP) doneInFlight() {
+	t.inflightMu.Lock()
+	t.inflight--
+	if t.inflight == 0 {
+		t.idleCond.Broadcast()
+	}
+	t.inflightMu.Unlock()
+}
+
 // WaitIdle blocks until no messages are in flight anywhere: queued,
-// buffered in a socket, or mid-delivery.
+// buffered in a socket, or mid-delivery. It returns early once a lane has
+// failed (see Err): the lost frames will never retire.
 func (t *TCP) WaitIdle() {
 	t.inflightMu.Lock()
-	for t.inflight > 0 {
+	for t.inflight > 0 && t.err == nil {
 		t.idleCond.Wait()
 	}
 	t.inflightMu.Unlock()
@@ -573,7 +697,8 @@ func (t *TCP) InFlight() int {
 // Close drains all lanes and shuts the sockets down. Writers flush their
 // queues and close the write side; read pumps consume to EOF, so every
 // accepted message is delivered (or counted dropped) before Close
-// returns. Sends after Close are dropped and counted.
+// returns. After a failure (Err) it tears the sockets down instead of
+// draining them. Sends after Close are dropped and counted.
 func (t *TCP) Close() {
 	if !t.closed.CompareAndSwap(false, true) {
 		return
@@ -584,11 +709,9 @@ func (t *TCP) Close() {
 		l.cond.Signal()
 		l.mu.Unlock()
 	}
+	if t.Err() != nil {
+		t.teardown()
+	}
 	t.wg.Wait()
-	for _, ln := range t.listeners {
-		ln.Close()
-	}
-	for _, l := range t.lanes {
-		l.conn.Close()
-	}
+	t.teardown()
 }

@@ -5,9 +5,11 @@
 //     single process: workers are goroutines, all inter-worker traffic
 //     flows through per-(sender, receiver) FIFO lanes that impose
 //     propagation latency and serialization (bandwidth) delay.
-//   - TCP (returned by NewTCPLoopback) moves the same traffic over real
-//     TCP sockets with a length-prefixed binary frame codec, per-peer
-//     persistent connections, write coalescing, and read pumps.
+//   - TCP moves the same traffic over real TCP sockets with a
+//     length-prefixed binary frame codec, per-peer persistent connections,
+//     write coalescing, and read pumps: for every worker of a run in one
+//     process (NewTCPLoopback), or for one worker whose peers are other
+//     processes (NewTCPPeer).
 //
 // Both preserve FIFO order per (sender, receiver) pair — as TCP does
 // between two Giraph workers — and count every message and byte.
@@ -166,6 +168,18 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 		DroppedMessages:   s.DroppedMessages - o.DroppedMessages,
 		WireBytesSent:     s.WireBytesSent - o.WireBytesSent,
 		WireBytesReceived: s.WireBytesReceived - o.WireBytesReceived,
+	}
+}
+
+// Add returns s + o, the traffic of two transports together.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	return Snapshot{
+		DataMessages: s.DataMessages + o.DataMessages, DataBytes: s.DataBytes + o.DataBytes,
+		ControlMessages: s.ControlMessages + o.ControlMessages, ControlBytes: s.ControlBytes + o.ControlBytes,
+		AckMessages:       s.AckMessages + o.AckMessages,
+		DroppedMessages:   s.DroppedMessages + o.DroppedMessages,
+		WireBytesSent:     s.WireBytesSent + o.WireBytesSent,
+		WireBytesReceived: s.WireBytesReceived + o.WireBytesReceived,
 	}
 }
 

@@ -1,28 +1,23 @@
+// Package dist_test is the multi-process conformance suite at the library
+// surface: a coordinator (serialgraph.Coordinate) plus K worker processes
+// (serialgraph.Work) over real TCP loopback must produce results bitwise
+// identical to a single-process BSP run with the same worker count,
+// partitioning and seed — same values, superstep count, execution count
+// and convergence verdict. The workers here are goroutines rather than OS
+// processes, but each rebuilds its graph and program from the job, and
+// every byte between them crosses sockets. The technique matrix across
+// processes is internal/engine's TestMultiProcess*, and the OS-process
+// runs are cmd/graphrun's TestGraphrunMultiProcess.
 package dist_test
-
-// Multi-process conformance: a coordinator plus K workers over real TCP
-// loopback must produce results bitwise identical to the in-process
-// engine under BSP/SyncNone with the same worker count, partitioning,
-// and seed — same values, same superstep count, same execution count,
-// same convergence verdict. The workers here are goroutines rather than
-// OS processes, but every byte between them crosses real sockets and no
-// memory is shared through the dist package's state; the process-level
-// version of the same run is exercised by cmd/graphrun's acceptance
-// test.
 
 import (
 	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 
+	"serialgraph"
 	"serialgraph/internal/algorithms"
-	"serialgraph/internal/dist"
-	"serialgraph/internal/engine"
-	"serialgraph/internal/graph"
-	"serialgraph/internal/model"
-	"serialgraph/internal/partition"
 )
 
 func requireLoopback(t *testing.T) {
@@ -34,138 +29,97 @@ func requireLoopback(t *testing.T) {
 	ln.Close()
 }
 
-// baseJob is the shared run spec: a deterministic 80-vertex power-law
-// graph, 3 workers x 2 partitions, generator and partitioner seeded
-// identically on every process.
-func baseJob() dist.Job {
-	return dist.Job{
-		Family:         "powerlaw",
-		N:              80,
-		Workers:        3,
-		PartsPerWorker: 2,
-		MaxSupersteps:  200,
-		Seed:           41,
-	}
+// baseJob is the shared graph: a deterministic 80-vertex power-law graph
+// every process generates alike from the job.
+func baseJob(alg string) serialgraph.Job {
+	return serialgraph.Job{Alg: alg, Family: "powerlaw", N: 80, Seed: 41,
+		Undirected: alg == "coloring" || alg == "wcc"}
 }
 
-// runDist executes one distributed job entirely over loopback TCP:
-// worker goroutines join the coordinator exactly as worker processes
-// would.
-func runDist[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], nVerts int) ([]V, dist.Result) {
+// baseOptions runs 3 workers x 2 partitions, BSP with no technique.
+func baseOptions() serialgraph.Options {
+	return serialgraph.Options{Workers: 3, PartitionsPerWorker: 2, MaxSupersteps: 200, Seed: 41,
+		Model: serialgraph.BSP, Technique: serialgraph.NoSerializability}
+}
+
+// runDist executes one job entirely over loopback TCP: worker goroutines
+// join the coordinator exactly as worker processes would.
+func runDist[V, M any](t *testing.T, job serialgraph.Job, prog serialgraph.Program[V, M], opt serialgraph.Options) ([]V, serialgraph.Result) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-
-	errs := make([]error, job.Workers)
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = dist.Work(ln.Addr().String())
-		}(i)
+	errs := make(chan error, opt.Workers)
+	for i := 0; i < opt.Workers; i++ {
+		go func() { errs <- serialgraph.Work(ln.Addr().String()) }()
 	}
-	vals, res, err := dist.Coordinate(ln, job, prog, nVerts)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("coordinate: %v", err)
-	}
-	for i, werr := range errs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
-	return vals, res
-}
-
-// runEngine is the in-process reference: same graph, same partitioning
-// knobs, BSP with no synchronization technique.
-func runEngine[V, M any](t *testing.T, job dist.Job, prog model.Program[V, M], g *graph.Graph) ([]V, engine.Result) {
-	t.Helper()
-	cfg := engine.Config{
-		Workers:             int(job.Workers),
-		PartitionsPerWorker: int(job.PartsPerWorker),
-		ThreadsPerWorker:    2,
-		Mode:                engine.BSP,
-		Sync:                engine.SyncNone,
-		Seed:                job.Seed,
-		MaxSupersteps:       int(job.MaxSupersteps),
-	}
-	if job.Partitioner != "" {
-		cfg.Partitioner = func(g *graph.Graph, p, w int) *partition.Map {
-			m, err := partition.New(job.Partitioner, g, p, w, job.Seed)
-			if err != nil {
-				t.Fatalf("partitioner: %v", err)
-			}
-			return m
-		}
-	}
-	vals, res, _, err := engine.Run(g, prog, cfg)
-	if err != nil {
-		t.Fatalf("engine run: %v", err)
-	}
-	return vals, res
-}
-
-// conform runs the same program both ways and demands bitwise agreement.
-func conform[V comparable, M any](t *testing.T, job dist.Job, prog model.Program[V, M]) {
-	t.Helper()
-	g, err := dist.BuildGraph(job)
+	g, err := serialgraph.JobGraph(job)
 	if err != nil {
 		t.Fatalf("build graph: %v", err)
 	}
-	gotVals, gotRes := runDist(t, job, prog, g.NumVertices())
-	wantVals, wantRes := runEngine(t, job, prog, g)
+	vals, res, err := serialgraph.Coordinate(ln, g, prog, job, opt)
+	for i := 0; i < opt.Workers; i++ {
+		if werr := <-errs; werr != nil {
+			t.Errorf("worker: %v", werr)
+		}
+	}
+	if err != nil {
+		t.Fatalf("coordinate: %v", err)
+	}
+	return vals, res
+}
 
+// conform runs the same program across processes and in one process and
+// demands bitwise agreement.
+func conform[V comparable, M any](t *testing.T, job serialgraph.Job, prog serialgraph.Program[V, M], opt serialgraph.Options) ([]V, serialgraph.Result) {
+	t.Helper()
+	got, gotRes := runDist(t, job, prog, opt)
+	g, _ := serialgraph.JobGraph(job)
+	want, wantRes, err := serialgraph.Run(g, prog, opt)
+	if err != nil {
+		t.Fatalf("single-process run: %v", err)
+	}
 	if gotRes.Converged != wantRes.Converged {
-		t.Errorf("converged: dist %v, engine %v", gotRes.Converged, wantRes.Converged)
+		t.Errorf("converged: processes %v, single %v", gotRes.Converged, wantRes.Converged)
 	}
 	if gotRes.Supersteps != wantRes.Supersteps {
-		t.Errorf("supersteps: dist %d, engine %d", gotRes.Supersteps, wantRes.Supersteps)
+		t.Errorf("supersteps: processes %d, single %d", gotRes.Supersteps, wantRes.Supersteps)
 	}
 	if gotRes.Executions != wantRes.Executions {
-		t.Errorf("executions: dist %d, engine %d", gotRes.Executions, wantRes.Executions)
+		t.Errorf("executions: processes %d, single %d", gotRes.Executions, wantRes.Executions)
 	}
-	if len(gotVals) != len(wantVals) {
-		t.Fatalf("value count: dist %d, engine %d", len(gotVals), len(wantVals))
-	}
-	for v := range wantVals {
-		if gotVals[v] != wantVals[v] {
-			t.Fatalf("value[%d]: dist %v, engine %v", v, gotVals[v], wantVals[v])
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("value[%d]: processes %v, single %v", v, got[v], want[v])
 		}
 	}
-	if job.Workers > 1 {
-		if gotRes.DataBatches == 0 || gotRes.DataBytes == 0 {
-			t.Errorf("multi-worker run moved no data batches (%d batches, %d bytes)",
-				gotRes.DataBatches, gotRes.DataBytes)
+	if opt.Workers > 1 {
+		net := gotRes.Net
+		if net.DataMessages == 0 || net.DataBytes == 0 {
+			t.Errorf("multi-worker run moved no data batches (%d batches, %d bytes)", net.DataMessages, net.DataBytes)
 		}
-		if gotRes.WireBytes == 0 {
-			t.Errorf("multi-worker run reported zero wire bytes")
+		if net.WireBytesSent == 0 || net.WireBytesSent != net.WireBytesReceived {
+			t.Errorf("wire bytes sent %d, received %d", net.WireBytesSent, net.WireBytesReceived)
 		}
-		if gotRes.WireBytes < gotRes.DataBytes/8 {
-			t.Errorf("wire bytes %d implausibly small vs simulated %d",
-				gotRes.WireBytes, gotRes.DataBytes)
+		if net.WireBytesSent < net.DataBytes/8 {
+			t.Errorf("wire bytes %d implausibly small vs simulated %d", net.WireBytesSent, net.DataBytes)
 		}
 	}
+	return got, gotRes
 }
 
 func TestDistMatchesEngineSSSP(t *testing.T) {
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "sssp"
-	job.Source = 0
-	conform(t, job, algorithms.SSSP(0))
-
-	// And against the serial oracle: the converged distances must be the
-	// true shortest paths.
-	g, _ := dist.BuildGraph(job)
-	got, res := runDist(t, job, algorithms.SSSP(0), g.NumVertices())
+	job := baseJob("sssp")
+	got, res := conform(t, job, serialgraph.SSSP(0), baseOptions())
 	if !res.Converged {
 		t.Fatal("sssp did not converge")
 	}
+	// And against the serial oracle: the converged distances must be the
+	// true shortest paths.
+	g, _ := serialgraph.JobGraph(job)
 	want := algorithms.ShortestPaths(g, 0)
 	for v := range want {
 		if got[v] != want[v] {
@@ -176,70 +130,56 @@ func TestDistMatchesEngineSSSP(t *testing.T) {
 
 func TestDistMatchesEnginePageRank(t *testing.T) {
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "pagerank"
+	job := baseJob("pagerank")
 	job.Eps = 0.01
-	conform(t, job, algorithms.PageRank(0.01))
+	conform(t, job, serialgraph.PageRank(0.01), baseOptions())
 }
 
-// A named streaming partitioner must survive the wire: every worker
-// process rebuilds the identical LDG map from the Job spec, and the run
-// still matches the in-process engine bitwise.
+// A named streaming partitioner survives the wire: every worker process
+// rebuilds the identical LDG map from the job, and the run still matches
+// the single-process run bitwise.
 func TestDistStreamingPartitioners(t *testing.T) {
 	requireLoopback(t)
 	for _, kind := range []string{"ldg"} {
 		t.Run(kind, func(t *testing.T) {
-			job := baseJob()
-			job.Alg = "sssp"
-			job.Source = 0
-			job.Partitioner = kind
-			conform(t, job, algorithms.SSSP(0))
+			opt := baseOptions()
+			opt.Partitioner = kind
+			conform(t, baseJob("sssp"), serialgraph.SSSP(0), opt)
 		})
 	}
 }
 
 func TestDistMatchesEngineColoring(t *testing.T) {
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "coloring"
-	job.Undirected = true
 	// BSP coloring can oscillate; bound the run and compare the exact
 	// (possibly non-converged) deterministic state.
-	job.MaxSupersteps = 30
-	conform(t, job, algorithms.Coloring())
+	opt := baseOptions()
+	opt.MaxSupersteps = 30
+	conform(t, baseJob("coloring"), serialgraph.Coloring(), opt)
 }
 
 func TestDistMatchesEngineWCC(t *testing.T) {
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "wcc"
-	job.Undirected = true
-	conform(t, job, algorithms.WCC())
+	conform(t, baseJob("wcc"), serialgraph.WCC(), baseOptions())
 }
 
 func TestDistSingleWorker(t *testing.T) {
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "sssp"
-	job.Workers = 1
-	job.PartsPerWorker = 4
-	conform(t, job, algorithms.SSSP(0))
+	opt := baseOptions()
+	opt.Workers, opt.PartitionsPerWorker = 1, 4
+	conform(t, baseJob("sssp"), serialgraph.SSSP(0), opt)
 }
 
+// The aggregated PageRank variant never votes to halt: termination
+// depends entirely on per-vertex Aggregate contributions flowing up in
+// StepDone, merging on the coordinator, feeding MasterHalt, and the merged
+// values flowing back down in StepStart for Aggregated(). A converged,
+// single-process-identical run proves the whole aggregator loop.
 func TestDistAggregatedHalt(t *testing.T) {
-	// The aggregated PageRank variant never votes to halt: termination
-	// depends entirely on per-vertex Aggregate contributions flowing up
-	// in StepDone, merging on the coordinator, feeding MasterHalt, and
-	// the merged values flowing back down in StepStart for Aggregated().
-	// A converged, engine-identical run proves the whole aggregator loop.
 	requireLoopback(t)
-	job := baseJob()
-	job.Alg = "pagerank-agg"
+	job := baseJob("pagerank-agg")
 	job.Eps = 0.05
-	conform(t, job, algorithms.PageRankAggregated(job.Eps))
-
-	g, _ := dist.BuildGraph(job)
-	_, res := runDist(t, job, algorithms.PageRankAggregated(job.Eps), g.NumVertices())
+	_, res := conform(t, job, serialgraph.PageRankAggregated(job.Eps), baseOptions())
 	if !res.Converged {
 		t.Fatalf("aggregated pagerank did not converge in %d supersteps", res.Supersteps)
 	}
@@ -252,14 +192,14 @@ func TestDistRejectsUnknownAlg(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer ln.Close()
-	job := baseJob()
-	job.Alg = "no-such-alg"
-	job.Workers = 1
+	job := baseJob("no-such-alg")
+	opt := baseOptions()
+	opt.Workers = 1
 
 	done := make(chan error, 1)
-	go func() { done <- dist.Work(ln.Addr().String()) }()
-	_, _, err = dist.Coordinate(ln, job, algorithms.SSSP(0), 80)
-	if err == nil {
+	go func() { done <- serialgraph.Work(ln.Addr().String()) }()
+	g, _ := serialgraph.JobGraph(job)
+	if _, _, err := serialgraph.Coordinate(ln, g, serialgraph.SSSP(0), job, opt); err == nil {
 		t.Error("coordinator succeeded against a worker that rejected the job")
 	}
 	if werr := <-done; werr == nil {

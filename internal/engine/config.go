@@ -252,15 +252,13 @@ type Config struct {
 	MsgMemoryBudget int64
 }
 
-// DefaultBufferCap is the default BufferCap. The GAS engine and the
-// multi-process driver batch with it too, so their batch counts and byte
-// ledgers match an in-process run's.
+// DefaultBufferCap is the default BufferCap. The GAS engine batches with
+// it too, so its batch counts and byte ledgers match a Pregel-engine run's.
 const DefaultBufferCap = 512
 
-// WithDefaults returns c with every unset field at its default. Run applies
-// it; callers that ship a configuration elsewhere (the multi-process
-// coordinator) apply it to read the same defaults.
-func (c Config) WithDefaults() Config {
+// withDefaults returns c with every unset field at its default. Run and
+// Coordinate apply it, and a worker process to the job it receives.
+func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}

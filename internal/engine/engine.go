@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"serialgraph/internal/history"
 	"serialgraph/internal/model"
 	"serialgraph/internal/partition"
-	"serialgraph/internal/wire"
 )
 
 // runner holds the state shared by the master and all workers of one run.
@@ -36,7 +36,24 @@ type runner[V, M any] struct {
 	// balance oracle has teeth on every run.
 	flow *cluster.Flow
 
+	// workers are the workers this process hosts: all of them in-process,
+	// one in a worker process, none on a multi-process coordinator.
 	workers []*worker[V, M]
+
+	// failed is closed when the transport fails (a corrupt frame, a lane
+	// cut mid-frame); nil for transports that cannot fail.
+	failed <-chan struct{}
+
+	// links are a multi-process coordinator's control connections, one per
+	// worker process, indexed by worker ID; coord is a worker process's
+	// connection to its coordinator. Both nil in-process.
+	links []*link
+	inbox chan ctrlMsg // the links' frames, as their pumps read them
+	coord *ctrlConn
+
+	// aggPrev is the previous superstep's merged aggregates, which a
+	// coordinator ships in the next StepStart.
+	aggPrev map[string]float64
 
 	// values is the primary copy of every vertex value; each slot is
 	// written only by executions of its vertex, which the engine (and the
@@ -128,20 +145,13 @@ type runner[V, M any] struct {
 }
 
 // newTransport builds the run's cluster backend. The TCP backend gets a
-// payload codec specialized to the program's message type — honoring the
-// program's explicit serialization contract when it declares one — and
-// the run's metrics registry for the wire-phase timers.
+// payload codec specialized to the program's message type and the run's
+// metrics registry for the wire-phase timers.
 func newTransport[V, M any](cfg Config, prog model.Program[V, M], reg *metrics.Registry) (cluster.Transport, error) {
 	if cfg.Transport != TransportTCP {
 		return cluster.New(cfg.Workers, cfg.Latency), nil
 	}
-	var codec cluster.PayloadCodec
-	if prog.MsgAppend != nil && prog.MsgRead != nil {
-		codec = wire.NewCodecWith(wire.MsgCodec[M]{Append: prog.MsgAppend, Read: prog.MsgRead})
-	} else {
-		codec = wire.NewCodec[M]()
-	}
-	tcp, err := cluster.NewTCPLoopback(cfg.Workers, cfg.Latency, codec)
+	tcp, err := cluster.NewTCPLoopback(cfg.Workers, cfg.Latency, codecFor(prog))
 	if err != nil {
 		return nil, err
 	}
@@ -153,11 +163,65 @@ func newTransport[V, M any](cfg Config, prog model.Program[V, M], reg *metrics.R
 // When cfg.TrackHistory is set, the returned recorder holds the
 // transaction log for serializability checking.
 func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, Result, *history.Recorder, error) {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, Result{}, nil, err
 	}
+	r, classes := newRunner(g, prog, cfg)
+	res := Result{Partitions: r.pm.P, Partition: r.quality(classes)}
+	tr, err := newTransport(cfg, prog, r.reg)
+	if err != nil {
+		return nil, Result{}, nil, err
+	}
+	defer tr.Close()
+	r.host(tr, 0, cfg.Workers, classes)
+	startSuperstep := 0
+	if cfg.RestoreFrom != "" {
+		s0, err := r.restore(cfg.RestoreFrom)
+		if err != nil {
+			return nil, Result{}, nil, err
+		}
+		startSuperstep = s0
+	}
+	start := time.Now()
+	if cfg.Mode == BAP {
+		r.runBAP(&res)
+	} else {
+		for _, w := range r.workers {
+			go w.loop()
+		}
+		err := r.supersteps(&res, startSuperstep)
+		if err != nil {
+			r.shutdownWorkers()
+			return nil, Result{}, nil, err
+		}
+	}
+	res.ComputeTime = time.Since(start)
+	// Close the transport before the final snapshots: the TCP backend's
+	// lane writers keep accounting wire flushes and bytes until Close joins
+	// them, so a snapshot taken earlier could miss their last updates and
+	// disagree with the registry the caller reads after Run returns.
+	r.tr.Close()
+	res.Net = r.tr.Stats().Load()
+	res.Executions = r.executions.Load()
+	res.MaxConcurrency = r.maxConc.Load()
+	for _, w := range r.workers {
+		if w.mgr != nil {
+			st := w.mgr.Stats()
+			res.ForkSends += st.ForkSends
+			res.TokenSends += st.TokenSends
+		}
+	}
+	res.Metrics = r.reg.Snapshot()
+	r.shutdownWorkers()
+	return r.values, res, r.rec, nil
+}
 
+// newRunner builds the state every process of a run derives alike from
+// the graph and the configuration: the partition map, the vertex values
+// and halt flags, and the recovery bookkeeping. It returns the vertex
+// classification, which the token lists and the quality report read.
+func newRunner[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) (*runner[V, M], []partition.Class) {
 	p := cfg.Workers * cfg.PartitionsPerWorker
 	var pm *partition.Map
 	if cfg.Partitioner != nil {
@@ -165,8 +229,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	} else {
 		pm = partition.NewHash(g, p, cfg.Workers, cfg.Seed)
 	}
-
-	r := &runner[V, M]{g: g, prog: prog, cfg: cfg, pm: pm, reg: cfg.Metrics}
+	r := &runner[V, M]{g: g, prog: prog, cfg: cfg, pm: pm, reg: cfg.Metrics, aggPrev: map[string]float64{}}
 	if r.reg == nil {
 		r.reg = metrics.New()
 	}
@@ -189,25 +252,34 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	if cfg.Recovery == RecoverConfined {
 		r.aggAt = make(map[int]map[string]float64)
 	}
-	// The quality report is one allocation-free O(V+E) pass at setup
-	// (outside ComputeTime); the classification it needs doubles as the
-	// dual-layer token class table.
-	classes := partition.Classify(g, pm)
-	quality := partition.ReportClassified(g, pm, classes)
-	r.reg.Add(metrics.CutEdges, int64(quality.CutEdges))
-	r.reg.Add(metrics.BoundaryVertices, int64(n-quality.PInternal))
-	if cfg.Sync == VertexLockGiraph {
-		r.pBoundary = partition.PBoundaryFlags(g, pm)
+	return r, partition.Classify(g, pm)
+}
+
+// quality computes the partition quality report (one allocation-free
+// O(V+E) pass over the classification) and records its cut counters. The
+// master calls it once per run, outside ComputeTime.
+func (r *runner[V, M]) quality(classes []partition.Class) partition.Quality {
+	q := partition.ReportClassified(r.g, r.pm, classes)
+	r.reg.Add(metrics.CutEdges, int64(q.CutEdges))
+	r.reg.Add(metrics.BoundaryVertices, int64(r.g.NumVertices()-q.PInternal))
+	return q
+}
+
+// host creates this process's workers, IDs lo to hi-1, over tr, with their
+// lock managers: every worker of the run in-process, one in a worker
+// process.
+func (r *runner[V, M]) host(tr cluster.Transport, lo, hi int, classes []partition.Class) {
+	cfg := r.cfg
+	r.tr = tr
+	if f, ok := tr.(interface{ Failed() <-chan struct{} }); ok {
+		r.failed = f.Failed()
 	}
-	if prog.Semantics == model.Overwrite {
+	if cfg.Sync == VertexLockGiraph {
+		r.pBoundary = partition.PBoundaryFlags(r.g, r.pm)
+	}
+	if r.prog.Semantics == model.Overwrite {
 		r.buildOutSlots()
 	}
-	tr, err := newTransport(cfg, prog, r.reg)
-	if err != nil {
-		return nil, Result{}, nil, err
-	}
-	r.tr = tr
-	defer r.tr.Close()
 	r.flow = cluster.NewFlow(cfg.Workers, cluster.WindowForBudget(cfg.MsgMemoryBudget, cfg.Workers))
 	r.flow.SetMetrics(r.reg)
 	if ft, ok := tr.(interface{ SetFlow(*cluster.Flow) }); ok {
@@ -215,71 +287,48 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 	}
 	r.recycleBatches = cfg.Fault == nil
 	if cfg.Fault != nil {
-		cfg.Fault.Attach(r.tr)
+		cfg.Fault.Attach(tr)
 	}
-
 	var partNeighbors [][]partition.ID
 	if cfg.Sync == PartitionLock {
-		partNeighbors = pm.Neighbors(g)
+		partNeighbors = r.pm.Neighbors(r.g)
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		r.workers = append(r.workers, newWorker(r, w, classes))
-	}
-	switch cfg.Sync {
-	case PartitionLock:
-		for _, w := range r.workers {
+	for id := lo; id < hi; id++ {
+		w := newWorker(r, id, classes)
+		r.workers = append(r.workers, w)
+		switch cfg.Sync {
+		case PartitionLock:
 			w.initLockManager(partNeighbors)
-		}
-	case VertexLockGiraph:
-		for _, w := range r.workers {
+		case VertexLockGiraph:
 			w.initVertexLockManager()
 		}
-	}
-	// Captured unconditionally (it is one map copy per manager at startup):
-	// a rollback with no checkpoint on disk — including one forced by the
-	// watchdog on an otherwise fault-free run — must be able to reset the
-	// Chandy–Misra state along with the vertex state.
-	for _, w := range r.workers {
+		// Captured unconditionally (it is one map copy per manager at
+		// startup): a rollback with no checkpoint on disk — including one
+		// forced by the watchdog on an otherwise fault-free run — must be
+		// able to reset the Chandy–Misra state along with the vertex state.
 		if w.mgr != nil {
 			r.initialForks = append(r.initialForks, w.mgr.Export())
 		}
 	}
-	startSuperstep := 0
-	if cfg.RestoreFrom != "" {
-		s0, err := r.restore(cfg.RestoreFrom)
-		if err != nil {
-			r.tr.Close()
-			return nil, Result{}, nil, err
-		}
-		startSuperstep = s0
-	}
-	start := time.Now()
-	res := Result{Partitions: p, Partition: quality}
-	if cfg.Mode == BAP {
-		r.runBAP(&res)
-		res.ComputeTime = time.Since(start)
-		r.tr.Close() // before the final snapshots; see the BSP/Async return
-		res.Net = r.tr.Stats().Load()
-		res.Executions = r.executions.Load()
-		res.MaxConcurrency = r.maxConc.Load()
-		for _, w := range r.workers {
-			close(w.startCh)
-			if w.mgr != nil {
-				st := w.mgr.Stats()
-				res.ForkSends += st.ForkSends
-				res.TokenSends += st.TokenSends
-			}
-		}
-		res.Metrics = r.reg.Snapshot()
-		return r.values, res, r.rec, nil
-	}
-	for _, w := range r.workers {
-		go w.loop()
-	}
+}
+
+// supersteps is the master loop, from superstep first until the run
+// converges or reaches MaxSupersteps. Each superstep is one exchange with
+// every worker: the master dispatches the superstep (in-process workers
+// over startCh, worker processes with a StepStart frame carrying the
+// merged aggregates), waits for every worker at the barrier, then merges
+// the aggregates and decides halting from the workers' unhalted and
+// pending counts. Fault detection, recovery, checkpoints and topology
+// mutations touch worker memory and run only in-process.
+func (r *runner[V, M]) supersteps(res *Result, first int) error {
+	cfg := r.cfg
 	// restoreNet is the traffic snapshot at the current restore point (run
 	// start, then each checkpoint); a rollback charges everything sent
 	// since it to Result.WastedMessages.
-	restoreNet := r.tr.Stats().Load()
+	var restoreNet cluster.Snapshot
+	if r.tr != nil {
+		restoreNet = r.tr.Stats().Load()
+	}
 	// Token techniques execute only the token holder's vertices in any one
 	// superstep, so a single superstep's aggregates cover a fraction of the
 	// graph and a MasterHalt tolerance test on them would fire spuriously
@@ -294,7 +343,8 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		haltWindow = cfg.Workers * cfg.PartitionsPerWorker
 	}
 	windowAgg := make(map[string]float64)
-	for s := startSuperstep; s < cfg.MaxSupersteps; s++ {
+	p := cfg.Workers * cfg.PartitionsPerWorker
+	for s := first; s < cfg.MaxSupersteps; s++ {
 		if cfg.Fault != nil {
 			cfg.Fault.BeginSuperstep(s)
 		}
@@ -307,25 +357,38 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		}
 		stepStart := time.Now()
 		execsBefore := r.executions.Load()
-		netBefore := r.tr.Stats().Load()
+		var netBefore cluster.Snapshot
 		var phaseBefore metrics.Snapshot
 		if cfg.DetailedStats {
+			netBefore = r.tr.Stats().Load()
 			phaseBefore = r.reg.Snapshot()
 		}
 		for _, w := range r.workers {
 			w.startCh <- s
+		}
+		if err := r.startLinks(s); err != nil {
+			return err
 		}
 		stalled := r.collectWorkers()
 		if stalled {
 			r.reg.Add(metrics.WatchdogStalls, 1)
 			res.WatchdogStalls++
 		}
-		r.tr.WaitIdle()
-		// With the transport idle every send has been delivered or counted
-		// dropped, so every acquired credit must be back: an imbalance here
-		// means the flow ledger leaked (the torture harness asserts zero).
-		if err := r.flow.CheckBalanced(); err != nil {
-			res.CreditImbalances++
+		if err := r.collectLinks(s); err != nil {
+			return err
+		}
+		if r.tr != nil {
+			r.tr.WaitIdle()
+			if err := r.transportErr(); err != nil {
+				return err
+			}
+			// With the transport idle every send has been delivered or
+			// counted dropped, so every acquired credit must be back: an
+			// imbalance here means the flow ledger leaked (the torture
+			// harness asserts zero).
+			if err := r.flow.CheckBalanced(); err != nil {
+				res.CreditImbalances++
+			}
 		}
 		// Superstep metrics are recorded before the failure check: a
 		// superstep a rollback later discards was still executed, so the
@@ -337,23 +400,26 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 
 		// Failure detection at the barrier (§6.4): in a real Giraph
 		// deployment the master notices a missed heartbeat; in the
-		// simulation the transport's aliveness registry plays that role.
-		// The check runs before any superstep side effects commit
-		// (aggregator merge, store swap, checkpoint), so a checkpoint can
-		// never capture a superstep a dead worker participated in.
-		if dead := r.tr.DeadWorkers(); len(dead) > 0 {
+		// simulation the transport's aliveness registry plays that role,
+		// and only injected faults and the watchdog kill workers. The check
+		// runs before any superstep side effects commit (aggregator merge,
+		// store swap, checkpoint), so a checkpoint can never capture a
+		// superstep a dead worker participated in.
+		var dead []cluster.WorkerID
+		if cfg.Fault != nil || cfg.WatchdogTimeout > 0 {
+			dead = r.tr.DeadWorkers()
+		}
+		if len(dead) > 0 {
 			res.Rollbacks++
 			r.reg.Add(metrics.Rollbacks, 1)
 			if res.Rollbacks > cfg.MaxRollbacks {
-				r.shutdownWorkers()
-				return nil, Result{}, nil, fmt.Errorf("engine: workers %v still failing after %d rollbacks (MaxRollbacks)", dead, cfg.MaxRollbacks)
+				return fmt.Errorf("engine: workers %v still failing after %d rollbacks (MaxRollbacks)", dead, cfg.MaxRollbacks)
 			}
 			confined := false
 			if r.confinedEligible(dead, deadAtStart, stalled) {
-				ok, err := r.confinedRecover(&res, s, dead)
+				ok, err := r.confinedRecover(res, s, dead)
 				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, err
+					return err
 				}
 				confined = ok
 			}
@@ -361,8 +427,7 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 				res.WastedMessages += r.tr.Stats().Load().DataMessages - restoreNet.DataMessages
 				resume, err := r.rollback()
 				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, err
+					return err
 				}
 				res.RecomputedSupersteps += s + 1 - resume
 				res.RecomputedPartitionSupersteps += (s + 1 - resume) * p
@@ -395,57 +460,17 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 		if r.aggAt != nil {
 			r.aggAt[s] = merged
 		}
-		if cfg.Mode == BSP {
-			// Spilled runs merge into the write store before the swap: the
-			// next superstep's reads then see exactly what direct delivery
-			// would have put there (per-destination arrival order is
-			// preserved across runs; see msgstore.Spill). Each sink feeds
-			// only its own worker's store, so the drains run concurrently —
-			// serially they would put every worker's merge on the barrier's
-			// critical path.
-			drainErrs := make([]error, len(r.workers))
-			var drainWG sync.WaitGroup
-			for i, w := range r.workers {
-				if w.spill == nil {
-					w.swapStores()
-					continue
-				}
-				drainWG.Add(1)
-				go func() {
-					defer drainWG.Done()
-					if drainErrs[i] = w.spill.Drain(w.writeStore()); drainErrs[i] == nil {
-						w.swapStores()
-					}
-				}()
-			}
-			drainWG.Wait()
-			for _, err := range drainErrs {
-				if err != nil {
-					r.shutdownWorkers()
-					return nil, Result{}, nil, fmt.Errorf("engine: spill drain: %w", err)
-				}
-			}
+		if err := r.swapStores(); err != nil {
+			return err
 		}
-
-		unhalted := 0
-		for v := 0; v < n; v++ {
-			if !r.halted[v] {
-				unhalted++
-			}
-		}
-		var pending int64
-		for _, w := range r.workers {
-			pending += w.pendingMessages()
-		}
+		unhalted, pending := r.census()
 		if err := r.applyMutations(); err != nil {
-			r.shutdownWorkers()
-			return nil, Result{}, nil, err
+			return err
 		}
 		if cfg.CheckpointEvery > 0 && (s+1)%cfg.CheckpointEvery == 0 {
 			cpStart := time.Now()
 			if err := r.takeCheckpoint(s); err != nil {
-				r.shutdownWorkers()
-				return nil, Result{}, nil, err
+				return err
 			}
 			r.reg.AddPhase(metrics.PhaseCheckpoint, time.Since(cpStart))
 			r.reg.Add(metrics.Checkpoints, 1)
@@ -468,25 +493,64 @@ func Run[V, M any](g *graph.Graph, prog model.Program[V, M], cfg Config) ([]V, R
 			}
 		}
 	}
-	res.ComputeTime = time.Since(start)
-	// Close the transport before the final snapshots: the TCP backend's
-	// lane writers keep accounting wire flushes and bytes until Close joins
-	// them, so a snapshot taken earlier could miss their last updates and
-	// disagree with the registry the caller reads after Run returns.
-	r.tr.Close()
-	res.Net = r.tr.Stats().Load()
-	res.Executions = r.executions.Load()
-	res.MaxConcurrency = r.maxConc.Load()
-	for _, w := range r.workers {
-		if w.mgr != nil {
-			st := w.mgr.Stats()
-			res.ForkSends += st.ForkSends
-			res.TokenSends += st.TokenSends
-		}
+	return nil
+}
+
+// swapStores ends a BSP superstep on this process's workers. Spilled runs
+// merge into the write store before the swap: the next superstep's reads
+// then see exactly what direct delivery would have put there
+// (per-destination arrival order is preserved across runs; see
+// msgstore.Spill). Each sink feeds only its own worker's store, so the
+// drains run concurrently — serially they would put every worker's merge
+// on the barrier's critical path. Callers guarantee that every message of
+// the superstep has been delivered.
+func (r *runner[V, M]) swapStores() error {
+	if r.cfg.Mode != BSP {
+		return nil
 	}
-	res.Metrics = r.reg.Snapshot()
-	r.shutdownWorkers()
-	return r.values, res, r.rec, nil
+	drainErrs := make([]error, len(r.workers))
+	var drainWG sync.WaitGroup
+	for i, w := range r.workers {
+		if w.spill == nil {
+			w.swapStores()
+			continue
+		}
+		drainWG.Add(1)
+		go func() {
+			defer drainWG.Done()
+			if drainErrs[i] = w.spill.Drain(w.writeStore()); drainErrs[i] == nil {
+				w.swapStores()
+			}
+		}()
+	}
+	drainWG.Wait()
+	if err := errors.Join(drainErrs...); err != nil {
+		return fmt.Errorf("engine: spill drain: %w", err)
+	}
+	return nil
+}
+
+// census sums the halting inputs at the barrier: unhalted vertices and
+// vertices with pending messages, over in-process workers and the reports
+// of worker processes.
+func (r *runner[V, M]) census() (unhalted, pending int64) {
+	for _, w := range r.workers {
+		unhalted += w.unhalted.Load()
+		pending += w.pendingMessages()
+	}
+	for _, l := range r.links {
+		unhalted += l.done.Unhalted
+		pending += l.done.Pending
+	}
+	return unhalted, pending
+}
+
+// transportErr returns the transport's failure, if it can fail.
+func (r *runner[V, M]) transportErr() error {
+	if f, ok := r.tr.(interface{ Err() error }); ok {
+		return f.Err()
+	}
+	return nil
 }
 
 // buildOutSlots precomputes, for every vertex u and every out-neighbor
@@ -515,25 +579,33 @@ func (r *runner[V, M]) buildOutSlots() {
 // noteBarrier converts the spread of worker finish times at superstep s's
 // barrier into metrics: each worker's barrier-wait is the gap between its
 // own finish and the cluster-wide last finish (zero, by construction, for
-// the last finisher). Under the token-passing techniques the same spread
+// the last finisher). A worker process's finish is when its StepDone
+// reached the coordinator. Under the token-passing techniques the same spread
 // also yields the token accounting — the holder's superstep time counts
 // as token_hold_ns and the non-holders' barrier waits as token_idle_ns,
 // quantifying §4.2's parallelism sacrifice.
 func (r *runner[V, M]) noteBarrier(s int, stepStart time.Time) {
-	last := r.workers[0].finish
-	for _, w := range r.workers[1:] {
-		if w.finish.After(last) {
-			last = w.finish
+	finish := make([]time.Time, 0, r.cfg.Workers)
+	for _, w := range r.workers {
+		finish = append(finish, w.finish)
+	}
+	for _, l := range r.links {
+		finish = append(finish, l.finish)
+	}
+	last := finish[0]
+	for _, f := range finish[1:] {
+		if f.After(last) {
+			last = f
 		}
 	}
 	holder, _ := r.tokenState(s)
 	var idle time.Duration
-	for i, w := range r.workers {
-		bw := last.Sub(w.finish)
+	for i, f := range finish {
+		bw := last.Sub(f)
 		r.reg.AddPhase(metrics.PhaseBarrierWait, bw)
 		if holder >= 0 {
 			if i == holder {
-				r.reg.Add(metrics.TokenHoldNs, int64(w.finish.Sub(stepStart)))
+				r.reg.Add(metrics.TokenHoldNs, int64(f.Sub(stepStart)))
 			} else {
 				idle += bw
 			}
@@ -622,11 +694,7 @@ func (r *runner[V, M]) applyMutations() error {
 				}
 				kept = append(kept, e)
 			}
-			var owned []graph.VertexID
-			for _, p := range w.parts {
-				owned = append(owned, r.pm.Vertices(p)...)
-			}
-			ns := msgstore.New[M](r.g, owned, r.prog.Semantics, r.prog.Combine)
+			ns := msgstore.New[M](r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 			ns.Load(kept)
 			w.stores[i] = ns
 		}
@@ -1179,17 +1247,19 @@ func (r *runner[V, M]) philOwner(id chandy.PhilID) int {
 	return r.pm.WorkerOf(graph.VertexID(id))
 }
 
-// collectWorkers waits for every worker to reach superstep s's barrier.
-// With no watchdog configured it blocks indefinitely (the pre-watchdog
-// behavior). With one, a worker that has not finished within the deadline
-// is declared stalled: the watchdog kills the unfinished workers (their
-// state is suspect — typically a lost control message wedged them
-// mid-protocol) and aborts every manager and endpoint so blocked
-// fork-acquires and flush-waits return and the barrier completes. The
-// caller then runs recovery exactly as for a crash. Returns whether the
-// watchdog fired.
+// collectWorkers waits for every in-process worker to reach superstep s's
+// barrier. With no watchdog configured and a transport that cannot fail
+// it blocks indefinitely (the pre-watchdog behavior). With one, a worker
+// that has not finished within the deadline is declared stalled: the
+// watchdog kills the unfinished workers (their state is suspect —
+// typically a lost control message wedged them mid-protocol) and aborts
+// every manager and endpoint so blocked fork-acquires and flush-waits
+// return and the barrier completes. The caller then runs recovery exactly
+// as for a crash. A transport failure aborts the workers the same way, and
+// the caller returns the transport's error. Returns whether the watchdog
+// fired.
 func (r *runner[V, M]) collectWorkers() bool {
-	if r.cfg.WatchdogTimeout <= 0 {
+	if r.cfg.WatchdogTimeout <= 0 && r.failed == nil {
 		for _, w := range r.workers {
 			<-w.doneCh
 		}
@@ -1197,22 +1267,30 @@ func (r *runner[V, M]) collectWorkers() bool {
 	}
 	done := make(chan int, len(r.workers))
 	for i, w := range r.workers {
-		go func(i int, w *worker[V, M]) {
+		go func() {
 			<-w.doneCh
 			done <- i
-		}(i, w)
+		}()
 	}
 	finished := make([]bool, len(r.workers))
 	remaining := len(r.workers)
-	timer := time.NewTimer(r.cfg.WatchdogTimeout)
-	defer timer.Stop()
+	var timeout <-chan time.Time
+	if r.cfg.WatchdogTimeout > 0 {
+		timer := time.NewTimer(r.cfg.WatchdogTimeout)
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	failed := r.failed
 	fired := false
 	for remaining > 0 {
 		select {
 		case i := <-done:
 			finished[i] = true
 			remaining--
-		case <-timer.C:
+		case <-failed:
+			failed = nil
+			r.abort()
+		case <-timeout:
 			// Workers may have finished concurrently with the timer firing;
 			// drain those before judging. Declaring a stall on a run that
 			// actually completed would poison healthy state.
@@ -1235,18 +1313,22 @@ func (r *runner[V, M]) collectWorkers() bool {
 					r.tr.Kill(cluster.WorkerID(i))
 				}
 			}
-			for _, w := range r.workers {
-				w.ep.Abort()
-				if w.mgr != nil {
-					w.mgr.Abort()
-				}
-			}
-			// Senders blocked awaiting credit would never reach the
-			// barrier either; wake them alongside the flush waits.
-			r.flow.Abort()
+			r.abort()
 		}
 	}
 	return fired
+}
+
+// abort unblocks every blocking primitive of this process's workers: fork
+// waits, flush and barrier waits, and senders parked on credit.
+func (r *runner[V, M]) abort() {
+	for _, w := range r.workers {
+		w.ep.Abort()
+		if w.mgr != nil {
+			w.mgr.Abort()
+		}
+	}
+	r.flow.Abort()
 }
 
 // tokenState reports the token positions at superstep s. Under TokenSingle
@@ -1269,6 +1351,9 @@ func (r *runner[V, M]) tokenState(s int) (globalHolder, localIdx int) {
 	}
 }
 
+// mergeAggregators sums the workers' superstep aggregates in worker order
+// (so a coordinator's merge equals an in-process one bit for bit) and
+// makes the result next superstep's Aggregated view.
 func (r *runner[V, M]) mergeAggregators() map[string]float64 {
 	merged := make(map[string]float64)
 	for _, w := range r.workers {
@@ -1277,9 +1362,15 @@ func (r *runner[V, M]) mergeAggregators() map[string]float64 {
 		}
 		w.aggLocal = make(map[string]float64)
 	}
+	for _, l := range r.links {
+		for i, k := range l.done.AggKeys {
+			merged[k] += l.done.AggVals[i]
+		}
+	}
 	for _, w := range r.workers {
 		w.aggPrev = merged
 	}
+	r.aggPrev = merged
 	return merged
 }
 

@@ -290,7 +290,7 @@ func TestTokenScheduleDual(t *testing.T) {
 }
 
 func TestTokenSingleUsesOneThread(t *testing.T) {
-	cfg := Config{Workers: 2, Sync: TokenSingle, ThreadsPerWorker: 8}.WithDefaults()
+	cfg := Config{Workers: 2, Sync: TokenSingle, ThreadsPerWorker: 8}.withDefaults()
 	if cfg.ThreadsPerWorker != 1 {
 		t.Errorf("TokenSingle threads = %d, want 1", cfg.ThreadsPerWorker)
 	}

@@ -122,7 +122,7 @@ func TestMetricsConservation(t *testing.T) {
 				}
 				// Markers go out only when the global token moves, at most
 				// one per peer.
-				tokens := &runner[struct{}, struct{}]{cfg: cfg.WithDefaults()}
+				tokens := &runner[struct{}, struct{}]{cfg: cfg.withDefaults()}
 				handoffs := 0
 				for s := 0; s < res.Supersteps; s++ {
 					holder, _ := tokens.tokenState(s)

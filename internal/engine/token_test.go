@@ -62,7 +62,7 @@ func TestTokenVertLists(t *testing.T) {
 		classes := partition.Classify(tc.g, tc.pm)
 		for _, sync := range []Sync{TokenSingle, TokenDual} {
 			cfg := Config{Workers: tc.workers, PartitionsPerWorker: tc.pm.P / tc.workers, Mode: Async, Sync: sync}
-			r := &runner[struct{}, struct{}]{cfg: cfg.WithDefaults()}
+			r := &runner[struct{}, struct{}]{cfg: cfg.withDefaults()}
 			for w := 0; w < tc.workers; w++ {
 				parts := tc.pm.PartitionsOfWorker(w)
 				lists := tokenVertLists(sync, tc.pm, classes, parts)

@@ -22,6 +22,7 @@ type worker[V, M any] struct {
 	r     *runner[V, M]
 	id    int
 	parts []partition.ID
+	owned []graph.VertexID // the vertices of parts, partition by partition
 
 	// stores[active] receives reads; under BSP, writes target
 	// stores[1-active] and the master swaps between supersteps. Under
@@ -116,14 +117,11 @@ func newWorker[V, M any](r *runner[V, M], id int, classes []partition.Class) *wo
 	for i := range w.threads {
 		w.threads[i] = &thread[V, M]{w: w}
 	}
-	var owned []graph.VertexID
-	for _, p := range w.parts {
-		owned = append(owned, r.pm.Vertices(p)...)
-	}
-	w.unhalted.Store(int64(len(owned)))
-	w.stores[0] = msgstore.New(r.g, owned, r.prog.Semantics, r.prog.Combine)
+	w.owned = r.pm.VerticesOfWorker(id)
+	w.unhalted.Store(int64(len(w.owned)))
+	w.stores[0] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 	if r.cfg.Mode == BSP {
-		w.stores[1] = msgstore.New(r.g, owned, r.prog.Semantics, r.prog.Combine)
+		w.stores[1] = msgstore.New(r.g, w.owned, r.prog.Semantics, r.prog.Combine)
 	}
 	for o := 0; o < r.cfg.Workers; o++ {
 		if o != id {
@@ -369,11 +367,19 @@ func (w *worker[V, M]) runSuperstep(s int) {
 	// remote messages. Token techniques additionally await delivery
 	// confirmations when the global token moves (§4.2, §6.2; C1 in DESIGN
 	// §4); locking techniques rely on FIFO-before-fork flushes mid-superstep
-	// and only need the data on the wire before the barrier.
+	// and only need the data on the wire before the barrier. A worker
+	// process has no transport-wide idle check to end the superstep on, so
+	// it exchanges flush markers with every peer instead (DESIGN §11): that
+	// barrier delivers everything, the token techniques' data included.
 	w.buf.FlushAll()
 	holder, _ := w.r.tokenState(s)
-	if next, _ := w.r.tokenState(s + 1); next != holder {
-		n := int64(w.ep.FlushWait(w.otherWks))
+	var n int64
+	if w.r.coord != nil {
+		n = int64(w.ep.Barrier(w.otherWks))
+	} else if next, _ := w.r.tokenState(s + 1); next != holder {
+		n = int64(w.ep.FlushWait(w.otherWks))
+	}
+	if n > 0 {
 		reg.Add(metrics.FlushMarkers, n)
 		reg.Add(metrics.CtrlMessages, n)
 		reg.Add(metrics.CtrlBytes, n*cluster.FlushMarkerBytes)

@@ -376,6 +376,33 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
+// Merge adds s into the registry: counters and phase times sum, and
+// histograms sum their counts and keep the larger maximum. The
+// multi-process coordinator merges its worker processes' snapshots this
+// way.
+func (r *Registry) Merge(s Snapshot) {
+	for i, v := range s.Counters {
+		r.counters[i].Add(v)
+	}
+	for i, v := range s.PhaseNs {
+		r.phases[i].Add(v)
+	}
+	for i, hs := range s.Hists {
+		h := &r.hists[i]
+		for b, n := range hs.Buckets {
+			h.buckets[b].Add(n)
+		}
+		h.count.Add(hs.Count)
+		h.sum.Add(hs.Sum)
+		for {
+			m := h.max.Load()
+			if hs.Max <= m || h.max.CompareAndSwap(m, hs.Max) {
+				break
+			}
+		}
+	}
+}
+
 // Snapshot is a plain-value copy of a Registry. It serializes to JSON as
 // three name-keyed objects with the stable schema described in the
 // package comment; in Go, use Get/Phase/Hist for typed access.

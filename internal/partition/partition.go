@@ -164,6 +164,16 @@ func (m *Map) PartitionsOfWorker(w int) []ID {
 	return out
 }
 
+// VerticesOfWorker returns the vertices placed on worker w: its
+// partitions' vertices, partition by partition.
+func (m *Map) VerticesOfWorker(w int) []graph.VertexID {
+	var out []graph.VertexID
+	for _, p := range m.PartitionsOfWorker(w) {
+		out = append(out, m.partVerts[p]...)
+	}
+	return out
+}
+
 // Classify computes the dual-layer class of every vertex (§5.3), where
 // "neighbors" means in-edge plus out-edge neighbors, per §3.1. The
 // classification only needs existence flags, so both adjacency lists are

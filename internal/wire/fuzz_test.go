@@ -22,6 +22,7 @@ import (
 
 	"serialgraph/internal/chandy"
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/metrics"
 )
 
 func FuzzFrameDecode(f *testing.F) {
@@ -42,6 +43,14 @@ func FuzzFrameDecode(f *testing.F) {
 	// A multi-entry control frame whose count promises one entry more than
 	// its body holds.
 	f.Add(rawFrame(cluster.FrameCtrl, 0, 1, []byte{3, 1, 2, 4, 0, 6, 8}))
+	// Worker reports: a value count the payload cannot hold, and a report
+	// cut inside its histogram buckets or followed by a stray byte.
+	f.Add(rawFrame(cluster.FrameValues, 0, -1, []byte{0x80, 0x80, 0x40}))
+	var rep Report
+	rep.Metrics.Hists[0] = metrics.HistSnapshot{Count: 1, Sum: 5, Max: 5, Buckets: map[int]int64{3: 1}}
+	repBody := AppendValues(nil, AutoMsgCodec[float64](), []float64{1}, rep)
+	f.Add(rawFrame(cluster.FrameValues, 0, -1, repBody[:len(repBody)-3]))
+	f.Add(rawFrame(cluster.FrameValues, 0, -1, append(repBody, 0)))
 
 	c64 := NewCodec[float64]()
 	c32 := NewCodec[int32]()
@@ -77,7 +86,7 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			checkReencode(t, c, fr.Type, payload)
 		}
-		// The dist protocol decoders take the same untrusted bytes.
+		// The multi-process control decoders take the same untrusted bytes.
 		if h, err := DecodeHello(fr.Payload); err == nil {
 			reencode(t, "hello", fr.Payload, AppendHello(nil, h))
 		}
@@ -90,14 +99,8 @@ func FuzzFrameDecode(f *testing.F) {
 		if s, err := DecodeStepDone(fr.Payload); err == nil {
 			reencode(t, "step_done", fr.Payload, AppendStepDone(nil, s))
 		}
-		if bar, err := DecodeBarrier(fr.Payload); err == nil {
-			reencode(t, "barrier", fr.Payload, AppendBarrier(nil, bar))
-		}
-		if fin, err := DecodeFinish(fr.Payload); err == nil {
-			reencode(t, "finish", fr.Payload, AppendFinish(nil, fin))
-		}
-		if vals, err := DecodeValues(vcodec, fr.Payload); err == nil {
-			reencode(t, "values", fr.Payload, AppendValues(nil, vcodec, vals))
+		if vals, rep, err := DecodeValues(vcodec, fr.Payload); err == nil {
+			reencode(t, "values", fr.Payload, AppendValues(nil, vcodec, vals, rep))
 		}
 	})
 }

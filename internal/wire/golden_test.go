@@ -22,6 +22,7 @@ import (
 
 	"serialgraph/internal/chandy"
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/msgstore"
 )
 
@@ -90,10 +91,10 @@ func goldenCases(t testing.TB) []goldenCase {
 	ack := cluster.AckMsg{Seq: 12345}
 	credit := cluster.CreditGrant{Bytes: 4096}
 
-	hello := Hello{Version: cluster.ProtocolVersion, Worker: 1, Addr: "127.0.0.1:40001"}
+	hello := Hello{Version: cluster.ProtocolVersion, Addr: "127.0.0.1:40001"}
 	job := Job{
 		Alg: "sssp", Family: "powerlaw", N: 80, Undirected: false,
-		Workers: 2, PartsPerWorker: 2, MaxSupersteps: 200,
+		Workers: 2, PartsPerWorker: 2, ThreadsPerWorker: 4, Mode: 1, Sync: 3, MaxSupersteps: 200,
 		Seed: 1131, Source: 0, Eps: 0.05, You: 1,
 		Peers:           []string{"127.0.0.1:40000", "127.0.0.1:40001"},
 		MsgMemoryBudget: 1 << 20,
@@ -102,12 +103,11 @@ func goldenCases(t testing.TB) []goldenCase {
 	stepStart := StepStart{Superstep: 3, AggKeys: []string{"pr:delta", "pr:sum"}, AggVals: []float64{0.125, 1}}
 	stepDone := StepDone{
 		Superstep: 3, Unhalted: 17, Pending: 4, Executions: 80,
-		SentBatches: 6, SentBytes: 512, WireBytes: 301,
 		AggKeys: []string{"pr:delta"}, AggVals: []float64{0.0625},
 	}
-	barrier := Barrier{Superstep: 3}
-	values := []ValueEntry[float64]{{ID: 0, Val: 0}, {ID: 1, Val: 2.5}, {ID: 3, Val: 7}}
-	finish := Finish{Converged: true, Supersteps: 12}
+	values := []float64{0, 2.5, 7}
+	report := Report{Net: cluster.Snapshot{DataMessages: 6, DataBytes: 512, WireBytesSent: 301, WireBytesReceived: 290}}
+	report.Metrics.Counters[metrics.RemoteBatches] = 6
 	vcodec := AutoMsgCodec[float64]()
 
 	verifyPayload := func(c cluster.PayloadCodec, want any) func(*testing.T, cluster.Frame) {
@@ -251,41 +251,24 @@ func goldenCases(t testing.TB) []goldenCase {
 			},
 		},
 		{
-			name:  "barrier",
-			frame: rawFrame(cluster.FrameBarrier, 0, 1, AppendBarrier(nil, barrier)),
-			verify: func(t *testing.T, f cluster.Frame) {
-				got, err := DecodeBarrier(f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != barrier {
-					t.Fatalf("got %#v, want %#v", got, barrier)
-				}
-			},
-		},
-		{
 			name:  "values",
-			frame: rawFrame(cluster.FrameValues, 1, -1, AppendValues(nil, vcodec, values)),
+			frame: rawFrame(cluster.FrameValues, 1, -1, AppendValues(nil, vcodec, values, report)),
 			verify: func(t *testing.T, f cluster.Frame) {
-				got, err := DecodeValues(vcodec, f.Payload)
+				got, rep, err := DecodeValues(vcodec, f.Payload)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, values) {
-					t.Fatalf("got %#v, want %#v", got, values)
+				if !reflect.DeepEqual(got, values) || !reflect.DeepEqual(rep, report) {
+					t.Fatalf("got %#v %#v, want %#v %#v", got, rep, values, report)
 				}
 			},
 		},
 		{
 			name:  "finish",
-			frame: rawFrame(cluster.FrameFinish, -1, 0, AppendFinish(nil, finish)),
+			frame: rawFrame(cluster.FrameFinish, -1, 0, nil),
 			verify: func(t *testing.T, f cluster.Frame) {
-				got, err := DecodeFinish(f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != finish {
-					t.Fatalf("got %#v, want %#v", got, finish)
+				if len(f.Payload) != 0 {
+					t.Fatalf("finish carries a %d-byte payload", len(f.Payload))
 				}
 			},
 		},
@@ -363,7 +346,7 @@ func TestGoldenFrames(t *testing.T) {
 	for _, ft := range []byte{
 		cluster.FrameData, cluster.FrameCtrl, cluster.FrameFlush, cluster.FrameAck,
 		cluster.FrameCredit, cluster.FrameHello, cluster.FrameJob, cluster.FrameStepStart,
-		cluster.FrameStepDone, cluster.FrameBarrier, cluster.FrameValues,
+		cluster.FrameStepDone, cluster.FrameValues,
 		cluster.FrameFinish,
 	} {
 		if !covered[ft] {

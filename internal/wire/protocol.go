@@ -1,11 +1,15 @@
 package wire
 
-// protocol.go encodes the multi-process driver's coordination payloads
-// (internal/dist): the handshake, job spec, superstep loop, data-plane
-// barrier, and final value collection. Everything is explicit fixed
-// binary — varints and length-prefixed strings, no gob — so the frames
-// are deterministic, golden-testable, and safe to parse from untrusted
-// bytes (every length is validated before allocation).
+// protocol.go encodes the control payloads between the multi-process
+// coordinator and its worker processes (engine.Coordinate, engine.Work):
+// the handshake, the job spec, one StepStart/StepDone exchange per
+// superstep, and the final value and report collection. The superstep
+// barrier between worker processes is not a payload here: it is built
+// from the engine's own flush markers and acks (cluster.Endpoint.Barrier).
+// Everything is explicit fixed binary — varints and length-prefixed
+// strings, no gob — so the frames are deterministic, golden-testable, and
+// safe to parse from untrusted bytes (every length is validated before
+// allocation).
 
 import (
 	"encoding/binary"
@@ -13,34 +17,37 @@ import (
 	"math"
 
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/metrics"
 )
 
-// Hello opens a connection: protocol version, the sender's worker ID
-// (-1 before the coordinator assigns one), and — on the control plane —
-// the worker's data-plane listen address.
+// Hello opens a worker process's connection to the coordinator: the
+// protocol version and the worker's data-plane listen address.
 type Hello struct {
 	Version int32
-	Worker  int32
 	Addr    string
 }
 
 // Job is the coordinator's run spec: enough for every worker process to
-// deterministically rebuild the same graph and partition map and find
-// its peers.
+// deterministically rebuild the same graph, program and partition map,
+// run the same engine configuration, and find its peers. The engine
+// builds the run options from its Config and turns them back into one.
 type Job struct {
-	Alg            string // "sssp" | "pagerank" | "coloring" | "wcc"
-	GraphPath      string // load a saved graph...
-	Family         string // ...or generate one from a family
-	N              int32  // generated-graph size
-	Undirected     bool   // symmetrize after loading/generating
-	Workers        int32  // worker-process count
-	PartsPerWorker int32
-	MaxSupersteps  int32
-	Seed           uint64   // partitioner seed (and generator seed)
-	Source         int32    // SSSP source
-	Eps            float64  // PageRank tolerance
-	You            int32    // the recipient's worker ID
-	Peers          []string // data-plane addresses indexed by worker ID
+	Alg              string // "sssp" | "pagerank" | "coloring" | "wcc"
+	GraphPath        string // load a saved graph...
+	Family           string // ...or generate one from a family
+	N                int32  // generated-graph size
+	Undirected       bool   // symmetrize after loading/generating
+	Workers          int32  // worker-process count
+	PartsPerWorker   int32
+	ThreadsPerWorker int32
+	Mode             uint8 // engine.Mode
+	Sync             uint8 // engine.Sync
+	MaxSupersteps    int32
+	Seed             uint64   // partitioner seed (and generator seed)
+	Source           int32    // SSSP source
+	Eps              float64  // PageRank tolerance
+	You              int32    // the recipient's worker ID
+	Peers            []string // data-plane addresses indexed by worker ID
 	// MsgMemoryBudget bounds each worker process's buffered inbound
 	// message bytes (0 = unbounded); overflow spills to disk.
 	MsgMemoryBudget int64
@@ -57,37 +64,24 @@ type StepStart struct {
 	AggVals   []float64
 }
 
-// StepDone reports one worker's superstep: halting votes, pending
-// messages, and its local aggregator contributions.
+// StepDone reports one worker's superstep at the barrier: unhalted
+// vertices, pending messages, executions, and its local aggregator
+// contributions.
 type StepDone struct {
-	Superstep   int32
-	Unhalted    int64
-	Pending     int64
-	Executions  int64
-	SentBatches int64 // data batches sent to peers (simulated ledger)
-	SentBytes   int64 // simulated bytes of those batches
-	WireBytes   int64 // true encoded bytes written to peer sockets
-	AggKeys     []string
-	AggVals     []float64
+	Superstep  int32
+	Unhalted   int64
+	Pending    int64
+	Executions int64
+	AggKeys    []string
+	AggVals    []float64
 }
 
-// Barrier is the per-superstep data-plane flush marker between worker
-// processes: FIFO stream order makes it proof that every data frame the
-// sender emitted for this superstep has been received.
-type Barrier struct {
-	Superstep int32
-}
-
-// Finish ends the run.
-type Finish struct {
-	Converged  bool
-	Supersteps int32
-}
-
-// ValueEntry is one (vertex, value) pair of the final result collection.
-type ValueEntry[V any] struct {
-	ID  int32
-	Val V
+// Report is a worker process's run totals, shipped after its values: the
+// transport's traffic counters and the metrics registry snapshot. The
+// coordinator sums them into the run's Result.
+type Report struct {
+	Net     cluster.Snapshot
+	Metrics metrics.Snapshot
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -195,7 +189,6 @@ func readAggs(b []byte) (keys []string, vals []float64, rest []byte, err error) 
 // AppendHello encodes h.
 func AppendHello(dst []byte, h Hello) []byte {
 	dst = cluster.AppendZigzag(dst, int64(h.Version))
-	dst = cluster.AppendZigzag(dst, int64(h.Worker))
 	return appendString(dst, h.Addr)
 }
 
@@ -204,9 +197,6 @@ func DecodeHello(b []byte) (Hello, error) {
 	var h Hello
 	var err error
 	if h.Version, b, err = readZigzag32(b); err != nil {
-		return h, err
-	}
-	if h.Worker, b, err = readZigzag32(b); err != nil {
 		return h, err
 	}
 	if h.Addr, b, err = readString(b); err != nil {
@@ -227,6 +217,8 @@ func AppendJob(dst []byte, j Job) []byte {
 	dst = appendBool(dst, j.Undirected)
 	dst = cluster.AppendZigzag(dst, int64(j.Workers))
 	dst = cluster.AppendZigzag(dst, int64(j.PartsPerWorker))
+	dst = cluster.AppendZigzag(dst, int64(j.ThreadsPerWorker))
+	dst = append(dst, j.Mode, j.Sync)
 	dst = cluster.AppendZigzag(dst, int64(j.MaxSupersteps))
 	dst = binary.AppendUvarint(dst, j.Seed)
 	dst = cluster.AppendZigzag(dst, int64(j.Source))
@@ -265,6 +257,13 @@ func DecodeJob(b []byte) (Job, error) {
 	if j.PartsPerWorker, b, err = readZigzag32(b); err != nil {
 		return j, err
 	}
+	if j.ThreadsPerWorker, b, err = readZigzag32(b); err != nil {
+		return j, err
+	}
+	if len(b) < 2 {
+		return j, ErrTruncated
+	}
+	j.Mode, j.Sync, b = b[0], b[1], b[2:]
 	if j.MaxSupersteps, b, err = readZigzag32(b); err != nil {
 		return j, err
 	}
@@ -339,9 +338,6 @@ func AppendStepDone(dst []byte, s StepDone) []byte {
 	dst = cluster.AppendZigzag(dst, s.Unhalted)
 	dst = cluster.AppendZigzag(dst, s.Pending)
 	dst = cluster.AppendZigzag(dst, s.Executions)
-	dst = cluster.AppendZigzag(dst, s.SentBatches)
-	dst = cluster.AppendZigzag(dst, s.SentBytes)
-	dst = cluster.AppendZigzag(dst, s.WireBytes)
 	return appendAggs(dst, s.AggKeys, s.AggVals)
 }
 
@@ -361,15 +357,6 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 	if s.Executions, b, err = readZigzag64(b); err != nil {
 		return s, err
 	}
-	if s.SentBatches, b, err = readZigzag64(b); err != nil {
-		return s, err
-	}
-	if s.SentBytes, b, err = readZigzag64(b); err != nil {
-		return s, err
-	}
-	if s.WireBytes, b, err = readZigzag64(b); err != nil {
-		return s, err
-	}
 	if s.AggKeys, s.AggVals, b, err = readAggs(b); err != nil {
 		return s, err
 	}
@@ -379,91 +366,88 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 	return s, nil
 }
 
-// AppendBarrier encodes a data-plane barrier marker.
-func AppendBarrier(dst []byte, bar Barrier) []byte {
-	return cluster.AppendZigzag(dst, int64(bar.Superstep))
+// reportFields lists a report's scalars in wire order: the traffic
+// counters, then the metrics counters, phase times and histogram totals.
+func reportFields(r *Report) []*int64 {
+	n, m := &r.Net, &r.Metrics
+	fs := []*int64{&n.DataMessages, &n.DataBytes, &n.ControlMessages, &n.ControlBytes,
+		&n.AckMessages, &n.DroppedMessages, &n.WireBytesSent, &n.WireBytesReceived}
+	for i := range m.Counters {
+		fs = append(fs, &m.Counters[i])
+	}
+	for i := range m.PhaseNs {
+		fs = append(fs, &m.PhaseNs[i])
+	}
+	for i := range m.Hists {
+		h := &m.Hists[i]
+		fs = append(fs, &h.Count, &h.Sum, &h.Max)
+	}
+	return fs
 }
 
-// DecodeBarrier parses a Barrier payload.
-func DecodeBarrier(b []byte) (Barrier, error) {
-	var bar Barrier
-	var err error
-	if bar.Superstep, b, err = readZigzag32(b); err != nil {
-		return bar, err
-	}
-	if len(b) != 0 {
-		return bar, fmt.Errorf("%w: trailing bytes after barrier", ErrCorrupt)
-	}
-	return bar, nil
-}
-
-// AppendFinish encodes f.
-func AppendFinish(dst []byte, f Finish) []byte {
-	dst = appendBool(dst, f.Converged)
-	return cluster.AppendZigzag(dst, int64(f.Supersteps))
-}
-
-// DecodeFinish parses a Finish payload.
-func DecodeFinish(b []byte) (Finish, error) {
-	var f Finish
-	var err error
-	if f.Converged, b, err = readBool(b); err != nil {
-		return f, err
-	}
-	if f.Supersteps, b, err = readZigzag32(b); err != nil {
-		return f, err
-	}
-	if len(b) != 0 {
-		return f, fmt.Errorf("%w: trailing bytes after finish", ErrCorrupt)
-	}
-	return f, nil
-}
-
-// AppendValues encodes final (vertex, value) pairs: count, then
-// zigzag-delta IDs with codec-encoded values.
-func AppendValues[V any](dst []byte, c MsgCodec[V], vals []ValueEntry[V]) []byte {
+// AppendValues encodes a worker's final values — count, then each value,
+// in the order of the worker's vertices — followed by its report: the
+// reportFields as zigzag varints, then every histogram's
+// metrics.HistBuckets bucket counts the same way.
+func AppendValues[V any](dst []byte, c MsgCodec[V], vals []V, rep Report) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vals)))
-	prev := int64(0)
-	for _, e := range vals {
-		dst = cluster.AppendZigzag(dst, int64(e.ID)-prev)
-		prev = int64(e.ID)
-		dst = c.Append(dst, e.Val)
+	for _, v := range vals {
+		dst = c.Append(dst, v)
+	}
+	for _, f := range reportFields(&rep) {
+		dst = cluster.AppendZigzag(dst, *f)
+	}
+	for _, h := range rep.Metrics.Hists {
+		for k := range metrics.HistBuckets {
+			dst = cluster.AppendZigzag(dst, h.Buckets[k])
+		}
 	}
 	return dst
 }
 
 // DecodeValues parses a FrameValues payload.
-func DecodeValues[V any](c MsgCodec[V], b []byte) ([]ValueEntry[V], error) {
+func DecodeValues[V any](c MsgCodec[V], b []byte) ([]V, Report, error) {
+	var rep Report
 	count, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, ErrTruncated
+		return nil, rep, ErrTruncated
 	}
 	b = b[n:]
 	if count > uint64(len(b))+1 {
-		return nil, fmt.Errorf("%w: value count %d exceeds payload", ErrCorrupt, count)
+		return nil, rep, fmt.Errorf("%w: value count %d exceeds payload", ErrCorrupt, count)
 	}
-	vals := make([]ValueEntry[V], 0, count)
-	prev := int64(0)
+	vals := make([]V, 0, count)
 	for i := uint64(0); i < count; i++ {
-		delta, n := cluster.Zigzag(b)
-		if n <= 0 {
-			return nil, ErrTruncated
-		}
-		b = b[n:]
-		id := prev + delta
-		if id < math.MinInt32 || id > math.MaxInt32 {
-			return nil, ErrCorrupt
-		}
-		prev = id
 		v, n, err := c.Read(b)
 		if err != nil {
-			return nil, err
+			return nil, rep, err
 		}
 		b = b[n:]
-		vals = append(vals, ValueEntry[V]{ID: int32(id), Val: v})
+		vals = append(vals, v)
+	}
+	var err error
+	for _, f := range reportFields(&rep) {
+		if *f, b, err = readZigzag64(b); err != nil {
+			return nil, rep, err
+		}
+	}
+	for i := range rep.Metrics.Hists {
+		h := &rep.Metrics.Hists[i]
+		for k := range metrics.HistBuckets {
+			var n int64
+			if n, b, err = readZigzag64(b); err != nil {
+				return nil, rep, err
+			}
+			if n != 0 { // snapshots keep only non-empty buckets
+				if h.Buckets == nil {
+					h.Buckets = make(map[int]int64)
+				}
+				h.Buckets[k] = n
+			}
+		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes after values", ErrCorrupt)
+		return nil, rep, fmt.Errorf("%w: trailing bytes after values", ErrCorrupt)
 	}
-	return vals, nil
+	return vals, rep, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"serialgraph/internal/cluster"
+	"serialgraph/internal/metrics"
 	"serialgraph/internal/msgstore"
 )
 
@@ -171,7 +172,7 @@ func TestDecodeAllocationGuards(t *testing.T) {
 	if _, err := NewCodec[float64]().DecodePayload(cluster.FrameData, hugeCount(huge)); err == nil {
 		t.Fatal("huge batch count accepted")
 	}
-	if _, err := DecodeValues(AutoMsgCodec[float64](), hugeCount(huge)); err == nil {
+	if _, _, err := DecodeValues(AutoMsgCodec[float64](), hugeCount(huge)); err == nil {
 		t.Fatal("huge value count accepted")
 	}
 	if _, err := DecodeStepStart(append(cluster.AppendZigzag(nil, 1), hugeCount(huge)...)); err == nil {
@@ -194,12 +195,12 @@ func appendUvarintForTest(dst []byte, v uint64) []byte {
 }
 
 func TestProtocolRoundTrips(t *testing.T) {
-	hello := Hello{Version: 1, Worker: -1, Addr: "127.0.0.1:9"}
+	hello := Hello{Version: 1, Addr: "127.0.0.1:9"}
 	if got, err := DecodeHello(AppendHello(nil, hello)); err != nil || got != hello {
 		t.Fatalf("hello: got %#v, err %v", got, err)
 	}
 	job := Job{Alg: "coloring", GraphPath: "/tmp/g", N: 7, Undirected: true,
-		Workers: 3, PartsPerWorker: 1, MaxSupersteps: 10, Seed: math.MaxUint64,
+		Workers: 3, PartsPerWorker: 1, ThreadsPerWorker: 2, Mode: 1, Sync: 3, MaxSupersteps: 10, Seed: math.MaxUint64,
 		Source: -1, Eps: 0.5, You: 2, Peers: []string{"a", "", "c"}}
 	if got, err := DecodeJob(AppendJob(nil, job)); err != nil || !reflect.DeepEqual(got, job) {
 		t.Fatalf("job: got %#v, err %v", got, err)
@@ -210,44 +211,36 @@ func TestProtocolRoundTrips(t *testing.T) {
 		t.Fatalf("step start: got %#v, err %v", got, err)
 	}
 	sd := StepDone{Superstep: 5, Unhalted: -0, Pending: 1 << 40, Executions: 3,
-		SentBatches: 2, SentBytes: 99, WireBytes: 77,
 		AggKeys: []string{"x"}, AggVals: []float64{math.Inf(-1)}}
 	if got, err := DecodeStepDone(AppendStepDone(nil, sd)); err != nil || !reflect.DeepEqual(got, sd) {
 		t.Fatalf("step done: got %#v, err %v", got, err)
 	}
-	if got, err := DecodeBarrier(AppendBarrier(nil, Barrier{Superstep: 9})); err != nil || got.Superstep != 9 {
-		t.Fatalf("barrier: got %#v, err %v", got, err)
-	}
-	if got, err := DecodeFinish(AppendFinish(nil, Finish{Converged: false, Supersteps: 201})); err != nil ||
-		got.Converged || got.Supersteps != 201 {
-		t.Fatalf("finish: got %#v, err %v", got, err)
-	}
-	vals := []ValueEntry[int32]{{ID: 5, Val: -2}, {ID: 2, Val: 9}} // out-of-order IDs: deltas go negative
+	vals := []int32{-2, 9}
 	c := AutoMsgCodec[int32]()
-	if got, err := DecodeValues(c, AppendValues(nil, c, vals)); err != nil || !reflect.DeepEqual(got, vals) {
-		t.Fatalf("values: got %#v, err %v", got, err)
+	rep := Report{Net: cluster.Snapshot{DataMessages: 3, WireBytesSent: -1}}
+	rep.Metrics.Counters[metrics.Executions] = 40
+	rep.Metrics.Hists[metrics.HistLockWait] = metrics.HistSnapshot{Count: 2, Sum: 9, Max: 8, Buckets: map[int]int64{1: 1, 4: 1}}
+	if got, gotRep, err := DecodeValues(c, AppendValues(nil, c, vals, rep)); err != nil ||
+		!reflect.DeepEqual(got, vals) || !reflect.DeepEqual(gotRep, rep) {
+		t.Fatalf("values: got %#v %#v, err %v", got, gotRep, err)
 	}
 }
 
 func TestProtocolTruncationsError(t *testing.T) {
 	c := AutoMsgCodec[float64]()
 	full := map[string][]byte{
-		"hello":      AppendHello(nil, Hello{Version: 1, Worker: 2, Addr: "x:1"}),
+		"hello":      AppendHello(nil, Hello{Version: 1, Addr: "x:1"}),
 		"job":        AppendJob(nil, Job{Alg: "sssp", Peers: []string{"a"}}),
 		"step_start": AppendStepStart(nil, StepStart{Superstep: 1, AggKeys: []string{"k"}, AggVals: []float64{2}}),
 		"step_done":  AppendStepDone(nil, StepDone{Superstep: 1, AggKeys: []string{"k"}, AggVals: []float64{2}}),
-		"barrier":    AppendBarrier(nil, Barrier{Superstep: 1}),
-		"finish":     AppendFinish(nil, Finish{Converged: true, Supersteps: 3}),
-		"values":     AppendValues(nil, c, []ValueEntry[float64]{{ID: 1, Val: 2}}),
+		"values":     AppendValues(nil, c, []float64{2}, Report{}),
 	}
 	decoders := map[string]func([]byte) error{
 		"hello":      func(b []byte) error { _, err := DecodeHello(b); return err },
 		"job":        func(b []byte) error { _, err := DecodeJob(b); return err },
 		"step_start": func(b []byte) error { _, err := DecodeStepStart(b); return err },
 		"step_done":  func(b []byte) error { _, err := DecodeStepDone(b); return err },
-		"barrier":    func(b []byte) error { _, err := DecodeBarrier(b); return err },
-		"finish":     func(b []byte) error { _, err := DecodeFinish(b); return err },
-		"values":     func(b []byte) error { _, err := DecodeValues(c, b); return err },
+		"values":     func(b []byte) error { _, _, err := DecodeValues(c, b); return err },
 	}
 	for name, buf := range full {
 		dec := decoders[name]

@@ -19,6 +19,7 @@
 // network is a transport with configurable propagation latency and
 // bandwidth that counts every message and byte, so the communication /
 // parallelism trade-off the paper studies is directly measurable.
+// Coordinate and Work run the same engine across OS processes over TCP.
 //
 // # Quick start
 //
@@ -34,6 +35,7 @@ package serialgraph
 
 import (
 	"fmt"
+	"net"
 	"time"
 
 	"serialgraph/internal/algorithms"
@@ -46,6 +48,7 @@ import (
 	"serialgraph/internal/history"
 	"serialgraph/internal/model"
 	"serialgraph/internal/partition"
+	"serialgraph/internal/wire"
 )
 
 // Core re-exported types. These aliases are the public names of the
@@ -283,17 +286,11 @@ func (o Options) engineConfig() (engine.Config, error) {
 		cfg.Fault = fault.NewInjector(*o.Fault)
 	}
 	if o.Partitioner != "" {
-		if !partition.ValidKind(o.Partitioner) {
-			return engine.Config{}, fmt.Errorf("serialgraph: unknown partitioner %q (want one of %v)", o.Partitioner, partition.Kinds())
+		pf, err := engine.PartitionerNamed(o.Partitioner, o.Seed)
+		if err != nil {
+			return engine.Config{}, fmt.Errorf("serialgraph: %w", err)
 		}
-		kind, seed := o.Partitioner, o.Seed
-		cfg.Partitioner = func(g *graph.Graph, p, w int) *partition.Map {
-			m, err := partition.New(kind, g, p, w, seed)
-			if err != nil {
-				panic(err) // unreachable: kind validated above
-			}
-			return m
-		}
+		cfg.Partitioner = pf
 	}
 	return cfg, nil
 }
@@ -307,6 +304,80 @@ func Run[V, M any](g *Graph, prog Program[V, M], opt Options) ([]V, Result, erro
 	}
 	vals, res, _, err := engine.Run(g, prog, cfg)
 	return vals, res, err
+}
+
+// Job names the graph and the program of a multi-process run, which every
+// worker process rebuilds from it; Coordinate adds the run options.
+type Job = wire.Job
+
+// Coordinate runs prog over g as the master of a multi-process run. It
+// accepts opt.Workers worker processes on ln (`graphrun -join` joins one),
+// drives the superstep loop with them, and returns the values and the
+// summed traffic and metrics of all processes. job names the graph and
+// program the workers rebuild. Options the master would have to apply
+// inside worker processes — the BAP model, faults, recovery, checkpoints,
+// the watchdog, history and detailed stats — are rejected.
+func Coordinate[V, M any](ln net.Listener, g *Graph, prog Program[V, M], job Job, opt Options) ([]V, Result, error) {
+	cfg, err := opt.engineConfig()
+	if err != nil {
+		return nil, Result{}, err
+	}
+	job.Partitioner = opt.Partitioner
+	return engine.Coordinate(ln, g, prog, cfg, job)
+}
+
+// Work joins the coordinator at addr as one worker process of a
+// multi-process run — what `graphrun -join` runs. It receives the job,
+// rebuilds the job's graph (JobGraph) and program, hosts one engine worker
+// until the coordinator finishes the run, and returns the first error that
+// broke the run. The programs a job can name are sssp, pagerank,
+// pagerank-agg, coloring and wcc.
+func Work(addr string) error {
+	s, err := engine.Join(addr)
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	g, err := JobGraph(s.Job)
+	if err != nil {
+		return err
+	}
+	switch s.Job.Alg {
+	case "sssp":
+		return engine.Work(s, g, SSSP(VertexID(s.Job.Source)))
+	case "pagerank":
+		return engine.Work(s, g, PageRank(s.Job.Eps))
+	case "pagerank-agg":
+		return engine.Work(s, g, PageRankAggregated(s.Job.Eps))
+	case "coloring":
+		return engine.Work(s, g, Coloring())
+	case "wcc":
+		return engine.Work(s, g, WCC())
+	}
+	return fmt.Errorf("serialgraph: unknown algorithm %q", s.Job.Alg)
+}
+
+// JobGraph deterministically rebuilds a job's graph: the saved graph file
+// when GraphPath is set, else the generator family, symmetrized when the
+// job says so. Every process of a run builds the identical graph, which is
+// what lets the partition map be derived locally instead of shipped.
+func JobGraph(job Job) (*Graph, error) {
+	var g *Graph
+	switch {
+	case job.GraphPath != "":
+		var err error
+		if g, err = graph.LoadFile(job.GraphPath); err != nil {
+			return nil, err
+		}
+	case job.Family != "":
+		g = generate.Family(job.Family, int(job.N), int64(job.Seed))
+	default:
+		return nil, fmt.Errorf("serialgraph: job has neither a graph file nor a family")
+	}
+	if job.Undirected {
+		g = graph.Symmetrize(g)
+	}
+	return g, nil
 }
 
 // RunChecked is Run plus serializability verification: it records every
